@@ -77,6 +77,24 @@ def index_to_subset(index):
     return frozenset(out)
 
 
+def _unpack(bits, arity):
+    # Bits 0 .. 2**arity - 1 of a packed vector, as a tuple of 0/1.
+    return tuple([(bits >> m) & 1 for m in range(1 << arity)])
+
+
+def _from_packed(cls, arity, bits, allow_big):
+    # Instance of a packed-vector class built from its integer alone; the
+    # unpacked tuple is derived on first access.
+    _check_arity(arity, allow_big)
+    if not 0 <= bits < 1 << (1 << arity):
+        raise ValueError(f"packed value {bits} out of range for arity {arity}")
+    self = object.__new__(cls)
+    self.arity = arity
+    self._bits = bits
+    self._unpacked = None
+    return self
+
+
 class TruthTable:
     """Value vector of a Boolean function on ``arity`` ordered inputs.
 
@@ -92,7 +110,7 @@ class TruthTable:
     Instances are immutable after construction and safe to share.
     """
 
-    __slots__ = ("arity", "values", "_bits")
+    __slots__ = ("arity", "_bits", "_unpacked")
 
     def __init__(self, arity, values, allow_big=False):
         _check_arity(arity, allow_big)
@@ -103,15 +121,20 @@ class TruthTable:
             )
         _check_bits(values, "truth table values")
         self.arity = arity
-        self.values = values
+        self._unpacked = values
         self._bits = sum(v << m for m, v in enumerate(values))
 
     @classmethod
     def from_int(cls, arity, bits, allow_big=False):
         """Build a table from its packed integer (bit m = value at index m)."""
-        if not 0 <= bits < 1 << (1 << arity):
-            raise ValueError(f"packed value {bits} out of range for arity {arity}")
-        return cls(arity, [(bits >> m) & 1 for m in range(1 << arity)], allow_big)
+        return _from_packed(cls, arity, bits, allow_big)
+
+    @property
+    def values(self):
+        """Tuple of 2**arity values; values[m] is the value at index m."""
+        if self._unpacked is None:
+            self._unpacked = _unpack(self._bits, self.arity)
+        return self._unpacked
 
     def to_int(self):
         """Packed integer representation; bit m holds values[m]."""
@@ -136,7 +159,7 @@ class CoeffVector:
     characteristic bit vector is m (m = 0 is the constant term).
     """
 
-    __slots__ = ("arity", "coeffs", "_bits")
+    __slots__ = ("arity", "_bits", "_unpacked")
 
     def __init__(self, arity, coeffs, allow_big=False):
         _check_arity(arity, allow_big)
@@ -147,14 +170,19 @@ class CoeffVector:
             )
         _check_bits(coeffs, "ANF coefficients")
         self.arity = arity
-        self.coeffs = coeffs
+        self._unpacked = coeffs
         self._bits = sum(v << m for m, v in enumerate(coeffs))
 
     @classmethod
     def from_int(cls, arity, bits, allow_big=False):
-        if not 0 <= bits < 1 << (1 << arity):
-            raise ValueError(f"packed value {bits} out of range for arity {arity}")
-        return cls(arity, [(bits >> m) & 1 for m in range(1 << arity)], allow_big)
+        return _from_packed(cls, arity, bits, allow_big)
+
+    @property
+    def coeffs(self):
+        """Tuple of 2**arity coefficients; coeffs[m] belongs to subset mask m."""
+        if self._unpacked is None:
+            self._unpacked = _unpack(self._bits, self.arity)
+        return self._unpacked
 
     def to_int(self):
         return self._bits
@@ -249,6 +277,18 @@ def essential_vars(table):
     return frozenset(out)
 
 
+@lru_cache(maxsize=None)
+def _monomial_texts(arity):
+    # (subset mask, rendered monomial) for every monomial on `arity`
+    # variables, ordered by degree and then by variable ids.
+    monomials = [(sorted(index_to_subset(mask)), mask) for mask in range(1 << arity)]
+    monomials.sort(key=lambda vm: (len(vm[0]), vm[0]))
+    return tuple(
+        (mask, "*".join(f"x{i}" for i in vs) if vs else "1")
+        for vs, mask in monomials
+    )
+
+
 def anf_string(coeffs):
     """Render an ANF as '+'-joined monomials, e.g. ``1 + x1 + x1*x3``.
 
@@ -256,16 +296,9 @@ def anf_string(coeffs):
     ids; variables inside a monomial appear in increasing order.  The zero
     polynomial renders as ``0``.  Output is deterministic.
     """
-    monomials = []
-    for mask in range(1 << coeffs.arity):
-        if coeffs.coeffs[mask]:
-            monomials.append(sorted(index_to_subset(mask)))
-    if not monomials:
-        return "0"
-    monomials.sort(key=lambda vs: (len(vs), vs))
-    return " + ".join(
-        "*".join(f"x{i}" for i in vs) if vs else "1" for vs in monomials
-    )
+    c = coeffs.to_int()
+    terms = [text for mask, text in _monomial_texts(coeffs.arity) if (c >> mask) & 1]
+    return " + ".join(terms) if terms else "0"
 
 
 def parse_anf(text, arity, allow_big=False):

@@ -15,7 +15,7 @@ from math import prod
 
 from .boolfun import TruthTable
 from .errors import CapacityError, InconsistentDataError
-from .modelspace import LocalData, _fits_int, fits, interpolant, model_space_size
+from .modelspace import LocalData, _fits_int, interpolant, model_space_size
 from .ncf import NcfForm, NcfSet, enumerate_ncfs, ncf_from_form
 
 IN_DEGREE_CAP = 5
@@ -200,6 +200,23 @@ def _embed(sub_bits, positions, arity):
     return bits
 
 
+def _project(data, positions):
+    # The data read off the variables at 1-based `positions` (ascending),
+    # as packed (seen, value) masks; None when two observed inputs that
+    # agree on those variables have different outputs.
+    seen = value = 0
+    for point, out in data.pairs:
+        bit = 1 << sum(point[pos - 1] << j for j, pos in enumerate(positions))
+        if seen & bit:
+            if bool(value & bit) != out:
+                return None
+        else:
+            seen |= bit
+            if out:
+                value |= bit
+    return seen, value
+
+
 def near_misses(wiring, timecourses, node):
     """Fitting functions that are canalyzing cascades on too few regulators.
 
@@ -208,6 +225,9 @@ def near_misses(wiring, timecourses, node):
     subset of the declared regulators, plus fitting constants (essential
     set empty).  These are exactly the candidates excluded from
     :func:`infer_ncfs` by the depends-on-all-regulators requirement.
+
+    A function on a subset fits the data exactly when it fits the data
+    projected onto that subset, so only fitting sub-NCFs are embedded.
     """
     data = local_data(wiring, timecourses, node)
     k = data.arity
@@ -217,10 +237,13 @@ def near_misses(wiring, timecourses, node):
             found[const_bits] = frozenset()
     for size in range(1, k):
         for positions in itertools.combinations(range(1, k + 1), size):
+            projected = _project(data, positions)
+            if projected is None:
+                continue
+            seen, value = projected
             for sub in enumerate_ncfs(size):
-                bits = _embed(sub.to_int(), positions, k)
-                if _fits_int(bits, data):
-                    found[bits] = frozenset(positions)
+                if sub.to_int() & seen == value:
+                    found[_embed(sub.to_int(), positions, k)] = frozenset(positions)
     return [
         (TruthTable.from_int(k, bits, allow_big=True), ess)
         for bits, ess in sorted(found.items())
@@ -300,9 +323,10 @@ def count_models(result):
 def cross_check(wiring, timecourses, node):
     """Compare two independent inference routes for one node.
 
-    Route one filters the cached bit-parallel enumeration; route two
-    evaluates every cascade form pointwise and keeps the fitting tables.
-    Both must produce the same set.
+    Route one filters the cached bit-parallel enumeration.  Route two
+    evaluates every cascade form pointwise at the observed inputs only,
+    stops at the first disagreement, and builds the table of each form
+    that fits.  Both must produce the same set.
     """
     data = local_data(wiring, timecourses, node)
     route_enum = {
@@ -312,8 +336,18 @@ def cross_check(wiring, timecourses, node):
     k = data.arity
     for order in itertools.permutations(range(1, k + 1)):
         for a in itertools.product((0, 1), repeat=k):
+            layers = tuple(zip(order, a))
             for b in itertools.product((0, 1), repeat=k):
-                table = ncf_from_form(NcfForm(order, a, b))
-                if fits(table, data):
-                    route_forms.add(table.to_int())
+                default = 1 - b[-1]
+                for point, out in data.pairs:
+                    for (var, canalyzing), forced in zip(layers, b):
+                        if point[var - 1] == canalyzing:
+                            value = forced
+                            break
+                    else:
+                        value = default
+                    if value != out:
+                        break
+                else:
+                    route_forms.add(ncf_from_form(NcfForm(order, a, b)).to_int())
     return route_enum == route_forms

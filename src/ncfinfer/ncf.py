@@ -210,11 +210,12 @@ class NcfSet:
     Members are kept in ascending truth-table integer order so that
     iteration, export, and set comparisons are deterministic regardless of
     how the set was produced.  When available, a witness cascade form is
-    kept per member (the first form generating it in lexicographic
-    (order, inputs, outputs) generation order).
+    kept per member as an (order, inputs, outputs) triple: the first form
+    generating it in lexicographic (order, inputs, outputs) generation
+    order.
     """
 
-    __slots__ = ("arity", "members", "_int_set", "_witness")
+    __slots__ = ("arity", "members", "_int_set", "_witness", "_anf")
 
     def __init__(self, arity, members, witness=None):
         self.arity = arity
@@ -225,6 +226,7 @@ class NcfSet:
         self.members = tuple(members)
         self._int_set = frozenset(t.to_int() for t in self.members)
         self._witness = dict(witness) if witness else {}
+        self._anf = None
 
     def __len__(self):
         return len(self.members)
@@ -261,24 +263,26 @@ class NcfSet:
         if table not in self:
             raise KeyError(f"{table!r} is not a member")
         w = self._witness.get(table.to_int())
-        if w is None:
-            forms = ncf_forms_of(table)
-            w = forms[0] if forms else None
-        return w
+        if w is not None:
+            return NcfForm(*w)
+        forms = ncf_forms_of(table)
+        return forms[0] if forms else None
 
     def anf_lines(self):
         """Canonical ANF strings, one per member, in member order."""
-        return [anf_string(tt_to_anf(t)) for t in self.members]
+        if self._anf is None:
+            self._anf = tuple(anf_string(tt_to_anf(t)) for t in self.members)
+        return list(self._anf)
 
     def json_records(self):
         """JSON-ready records: table integer, ANF, and one witness form."""
         records = []
-        for t in self.members:
+        for t, anf in zip(self.members, self.anf_lines()):
             w = self.witness(t)
             records.append(
                 {
                     "table": t.to_int(),
-                    "anf": anf_string(tt_to_anf(t)),
+                    "anf": anf,
                     "witness_form": None
                     if w is None
                     else {
@@ -293,7 +297,8 @@ class NcfSet:
 
 def _iter_form_ints(k):
     # Yields (table int, 0-based order, a bits, b bits) over all cascade
-    # forms in lexicographic (order, inputs, outputs) generation order.
+    # forms in lexicographic (order, inputs, outputs) generation order;
+    # the full scan behind ncf_forms_of.
     varmasks = variable_masks(k)
     full = (1 << (1 << k)) - 1
     for order0 in itertools.permutations(range(k)):
@@ -307,16 +312,83 @@ def _iter_form_ints(k):
                 )
 
 
+def _layer_partitions(rest):
+    # Ordered partitions of the variable mask `rest` into nonempty layer
+    # masks whose last layer holds at least two variables.
+    if rest & (rest - 1):
+        yield (rest,)
+    first = (rest - 1) & rest
+    while first:
+        for tail in _layer_partitions(rest ^ first):
+            yield (first,) + tail
+        first = (first - 1) & rest
+
+
+def _canonical_forms(k):
+    # (table int, witness triple) for every NCF on k inputs, each once.
+    # The witness lists each layer's variables in ascending order.  The
+    # last variable's input and output can be flipped together without
+    # changing the function; the witness takes input 0 there.  That makes
+    # it the lexicographically first form generating the table.
+    varmasks = variable_masks(k)
+    full = (1 << (1 << k)) - 1
+    if k == 1:
+        return [
+            (varmasks[0], ((1,), (0,), (0,))),
+            (full ^ varmasks[0], ((1,), (0,), (1,))),
+        ]
+    top = 1 << (k - 1)
+    input_bits = [tuple((a >> i) & 1 for i in range(k)) for a in range(top)]
+    out = []
+    for layers in _layer_partitions((1 << k) - 1):
+        # variables in test order, with their outputs when the first layer
+        # outputs 0 (layer j outputs j & 1)
+        order, outputs = [], []
+        for j, layer in enumerate(layers):
+            for v in range(k):
+                if (layer >> v) & 1:
+                    order.append(v + 1)
+                    outputs.append(j & 1)
+        order = tuple(order)
+        # literals[i][a]: the points where the variable at position i is a
+        literals = [(full ^ varmasks[v - 1], varmasks[v - 1]) for v in order]
+        # witness outputs, indexed by the first layer's output and by
+        # whether the last variable's input and output are flipped
+        witness_outputs = []
+        for b0 in (0, 1):
+            outs = tuple(b0 ^ o for o in outputs)
+            witness_outputs.append((outs, outs[:-1] + (1 - outs[-1],)))
+        # bit i of a_bits is the canalyzing input at position i
+        for a_bits in range(1 << k):
+            table, undecided = 0, full
+            for i, b in enumerate(outputs):
+                hit = undecided & literals[i][(a_bits >> i) & 1]
+                if b:
+                    table |= hit
+                undecided ^= hit
+            if not outputs[-1]:
+                table |= undecided
+            f = a_bits >> (k - 1)
+            inputs = input_bits[a_bits & (top - 1)]
+            for b0, bits in ((0, table), (1, full ^ table)):
+                out.append((bits, (order, inputs, witness_outputs[b0][f])))
+    return out
+
+
 _ENUM_CACHE = {}
 
 
 def enumerate_ncfs(k, allow_big=False):
     """All nested canalyzing functions on exactly k inputs.
 
-    Generates every cascade form (k! orders times 2^k canalyzing inputs
-    times 2^k canalyzed outputs) and deduplicates the resulting truth
-    tables.  Every member depends on all k variables; no separate filter
-    is needed because a cascade always does.
+    Every NCF on k >= 2 inputs has a unique layer structure (Li, Adeyeye,
+    Murrugarra, Aguilar and Laubenbacher, Theor. Comput. Sci. 481, 2013):
+    an ordered partition of the variables into layers whose last layer
+    holds at least two variables, one canalyzing input per variable, and
+    the first layer's output, with outputs alternating from layer to
+    layer.  Each such structure is generated once, so no deduplication is
+    needed; k = 1 has the two literals.  Every member depends on all k
+    variables.
     """
     if k == 0:
         raise ValueError("there are no nested canalyzing functions on 0 inputs")
@@ -328,18 +400,11 @@ def enumerate_ncfs(k, allow_big=False):
         )
     if k in _ENUM_CACHE:
         return _ENUM_CACHE[k]
-    witness = {}
-    for bits, order0, a_bits, b_bits in _iter_form_ints(k):
-        if bits not in witness:
-            witness[bits] = NcfForm(
-                tuple(v + 1 for v in order0),
-                tuple((a_bits >> i) & 1 for i in range(k)),
-                tuple((b_bits >> i) & 1 for i in range(k)),
-            )
+    forms = _canonical_forms(k)
     members = [
-        TruthTable.from_int(k, bits, allow_big=allow_big) for bits in witness
+        TruthTable.from_int(k, bits, allow_big=allow_big) for bits, _ in forms
     ]
-    result = NcfSet(k, members, witness)
+    result = NcfSet(k, members, dict(forms))
     if k <= 5:
         _ENUM_CACHE[k] = result
     return result

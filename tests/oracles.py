@@ -71,3 +71,25 @@ def fitting_table_ints(pairs, k):
         if all((bits >> idx) & 1 == val for idx, val in pairs):
             out.append(bits)
     return out
+
+
+def essential_var_ids(bits, k):
+    """1-based variables whose flip changes the packed table somewhere."""
+    return [
+        i + 1
+        for i in range(k)
+        if any((bits >> p) & 1 != (bits >> (p ^ (1 << i))) & 1 for p in range(1 << k))
+    ]
+
+
+def restrict(bits, k, positions):
+    """The table read off the 1-based ``positions`` (ascending), all other
+    variables held at 0; variable j of the result is ``positions[j]``."""
+    out = 0
+    for sub in range(1 << len(positions)):
+        point = 0
+        for j, pos in enumerate(positions):
+            if (sub >> j) & 1:
+                point |= 1 << (pos - 1)
+        out |= ((bits >> point) & 1) << sub
+    return out

@@ -106,6 +106,27 @@ def test_construction_validation():
     assert TruthTable(6, [0] * 64, allow_big=True).arity == 6
     with pytest.raises(CapacityError):
         TruthTable(17, [0] * (1 << 17), allow_big=True)  # hard cap
+    for cls in (TruthTable, CoeffVector):
+        with pytest.raises(ValueError):
+            cls.from_int(2, 16)
+        with pytest.raises(ValueError):
+            cls.from_int(2, -1)
+        with pytest.raises(CapacityError):
+            cls.from_int(6, 0)
+        with pytest.raises(CapacityError):
+            cls.from_int(17, 0, allow_big=True)
+
+
+def test_from_int_matches_constructor():
+    rng = random.Random(5)
+    for k in range(7):
+        bits = rng.getrandbits(1 << k)
+        values = [(bits >> m) & 1 for m in range(1 << k)]
+        t = TruthTable.from_int(k, bits, allow_big=True)
+        assert t == TruthTable(k, values, allow_big=True)
+        assert t.values == tuple(values)
+        c = CoeffVector.from_int(k, bits, allow_big=True)
+        assert c.coeffs == CoeffVector(k, values, allow_big=True).coeffs
 
 
 def test_anf_string():
@@ -113,6 +134,16 @@ def test_anf_string():
     assert anf_string(CoeffVector(2, [0, 0, 0, 0])) == "0"
     assert anf_string(CoeffVector(2, [1, 0, 0, 0])) == "1"
     assert anf_string(CoeffVector(3, [1, 1, 0, 0, 0, 1, 0, 0])) == "1 + x1 + x1*x3"
+    # monomials by degree, then by variable ids, for random k=5 polynomials
+    rng = random.Random(11)
+    for _ in range(200):
+        bits = rng.getrandbits(32)
+        monomials = sorted(
+            ([i + 1 for i in range(5) if (m >> i) & 1] for m in range(32) if (bits >> m) & 1),
+            key=lambda vs: (len(vs), vs),
+        )
+        expected = " + ".join("*".join(f"x{i}" for i in vs) or "1" for vs in monomials)
+        assert anf_string(CoeffVector.from_int(5, bits)) == (expected or "0")
 
 
 def test_parse_anf_round_trip_exhaustive_k3():

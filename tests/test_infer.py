@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+import oracles
 from conftest import YEAST_NODES
+from ncfinfer import infer as infer_module
 from ncfinfer.boolfun import TruthTable, essential_vars
 from ncfinfer.errors import CapacityError, InconsistentDataError
 from ncfinfer.infer import (
@@ -201,6 +203,44 @@ def test_near_misses_cln3(yeast):
     assert len(misses) == 1
     table, essential = misses[0]
     assert table.values == (0, 0) and essential == frozenset()
+
+
+def test_near_misses_against_brute_force():
+    cascades = {s: oracles.all_cascade_ints(s) for s in range(1, 4)}
+    rng = random.Random(8086)
+    for _ in range(20):
+        wiring, course = _random_instance(rng)
+        for i in range(len(wiring.nodes)):
+            d = local_data(wiring, course, i)
+            k = d.arity
+            pairs = [
+                (sum(x << j for j, x in enumerate(point)), out)
+                for point, out in d.pairs
+            ]
+            expected = {}
+            for bits in oracles.fitting_table_ints(pairs, k):
+                ess = oracles.essential_var_ids(bits, k)
+                if len(ess) == k:
+                    continue
+                if not ess or oracles.restrict(bits, k, ess) in cascades[len(ess)]:
+                    expected[bits] = frozenset(ess)
+            got = {t.to_int(): ess for t, ess in near_misses(wiring, course, i)}
+            assert got == expected
+
+
+def test_cross_check_catches_a_dropped_member(yeast, monkeypatch):
+    wiring, course = yeast
+    i = wiring.index("Cdh1")
+    assert cross_check(wiring, course, i)
+    dropped = infer_ncfs(wiring, course, i).members[0]
+    real = infer_module.enumerate_ncfs
+    monkeypatch.setattr(
+        infer_module,
+        "enumerate_ncfs",
+        lambda k, allow_big=False: real(k, allow_big).filtered(lambda t: t != dropped),
+    )
+    assert len(infer_ncfs(wiring, course, i)) == 11
+    assert not cross_check(wiring, course, i)
 
 
 def test_near_misses_are_fitting_sub_cascades(yeast):

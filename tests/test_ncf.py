@@ -163,10 +163,35 @@ def test_ncf_forms_of():
     assert all(ncf_from_form(f) == AND2 for f in and_forms)
 
 
+# Ordered Bell (Fubini) numbers: ordered partitions of an n-set.
+FUBINI = (1, 1, 3, 13, 75, 541, 4683)
+
+
+def test_census_matches_layer_count_recursion():
+    # Jarrah, Raposa and Laubenbacher (Physica D 233, 2007): an NCF on
+    # k >= 2 inputs is an ordered partition of its variables into layers
+    # whose last layer has at least two variables (F(k) - k*F(k-1) ways),
+    # a canalyzing input per variable and the first layer's output.
+    counts = {k: len(enumerate_ncfs(k, allow_big=True)) for k in range(1, 7)}
+    assert counts[1] == 2
+    for k in range(2, 7):
+        assert counts[k] == 2 ** (k + 1) * (FUBINI[k] - k * FUBINI[k - 1])
+    assert counts[6] == 183_936
+
+
 def test_witness_forms_regenerate_members():
-    ncfs = enumerate_ncfs(3)
-    for t in ncfs:
-        assert ncf_from_form(ncfs.witness(t)) == t
+    for k in (3, 4, 5):
+        ncfs = enumerate_ncfs(k)
+        for t in ncfs:
+            assert ncf_from_form(ncfs.witness(t)) == t
+
+
+def test_witness_is_first_form_of_full_scan():
+    rng = random.Random(2013)
+    for k, count in ((1, 2), (2, 8), (3, 64), (4, 40), (5, 3)):
+        ncfs = enumerate_ncfs(k)
+        for t in rng.sample(ncfs.members, count):
+            assert ncfs.witness(t) == ncf_forms_of(t)[0]
 
 
 def test_ncf_set_export():
