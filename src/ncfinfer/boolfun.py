@@ -77,25 +77,68 @@ def index_to_subset(index):
     return frozenset(out)
 
 
-def _unpack(bits, arity):
-    # Bits 0 .. 2**arity - 1 of a packed vector, as a tuple of 0/1.
-    return tuple([(bits >> m) & 1 for m in range(1 << arity)])
+class _PackedVector:
+    """A 0/1 vector of length 2**arity packed into one integer.
+
+    Bit m of the integer is entry m.  Subclasses name the entries: the
+    accessor that returns them as a tuple, and the nouns used in error
+    messages.  Instances are immutable after construction and safe to
+    share; one built from its integer unpacks its entries on first access.
+    """
+
+    __slots__ = ("arity", "_bits", "_unpacked")
+    _accessor = _noun = _what = ""  # set by each subclass
+
+    def _init(self, arity, entries, allow_big):
+        _check_arity(arity, allow_big)
+        entries = tuple(entries)
+        if len(entries) != 1 << arity:
+            raise ValueError(
+                f"expected {1 << arity} {self._noun} for arity {arity}, "
+                f"got {len(entries)}"
+            )
+        _check_bits(entries, self._what)
+        self.arity = arity
+        self._unpacked = entries
+        self._bits = sum(v << m for m, v in enumerate(entries))
+
+    @classmethod
+    def _from_int(cls, arity, bits, allow_big):
+        _check_arity(arity, allow_big)
+        if not 0 <= bits < 1 << (1 << arity):
+            raise ValueError(f"packed value {bits} out of range for arity {arity}")
+        self = object.__new__(cls)
+        self.arity = arity
+        self._bits = bits
+        self._unpacked = None
+        return self
+
+    def _entries(self):
+        if self._unpacked is None:
+            bits = self._bits
+            self._unpacked = tuple([(bits >> m) & 1 for m in range(1 << self.arity)])
+        return self._unpacked
+
+    def to_int(self):
+        """Packed integer representation; bit m holds entry m."""
+        return self._bits
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.arity == other.arity and self._bits == other._bits
+
+    def __hash__(self):
+        return hash((self.arity, self._bits))
+
+    def __repr__(self):
+        return (
+            f"{type(self).__name__}(arity={self.arity}, "
+            f"{self._accessor}={list(self._entries())})"
+        )
 
 
-def _from_packed(cls, arity, bits, allow_big):
-    # Instance of a packed-vector class built from its integer alone; the
-    # unpacked tuple is derived on first access.
-    _check_arity(arity, allow_big)
-    if not 0 <= bits < 1 << (1 << arity):
-        raise ValueError(f"packed value {bits} out of range for arity {arity}")
-    self = object.__new__(cls)
-    self.arity = arity
-    self._bits = bits
-    self._unpacked = None
-    return self
-
-
-class TruthTable:
+class TruthTable(_PackedVector):
     """Value vector of a Boolean function on ``arity`` ordered inputs.
 
     Parameters
@@ -106,97 +149,47 @@ class TruthTable:
         values[m] is the function value at the point indexed by m.
     allow_big : bool
         Permit arities above the soft cap of 5, up to the hard cap of 16.
-
-    Instances are immutable after construction and safe to share.
     """
 
-    __slots__ = ("arity", "_bits", "_unpacked")
+    __slots__ = ()
+    _accessor, _noun, _what = "values", "values", "truth table values"
 
     def __init__(self, arity, values, allow_big=False):
-        _check_arity(arity, allow_big)
-        values = tuple(values)
-        if len(values) != 1 << arity:
-            raise ValueError(
-                f"expected {1 << arity} values for arity {arity}, got {len(values)}"
-            )
-        _check_bits(values, "truth table values")
-        self.arity = arity
-        self._unpacked = values
-        self._bits = sum(v << m for m, v in enumerate(values))
+        self._init(arity, values, allow_big)
 
     @classmethod
     def from_int(cls, arity, bits, allow_big=False):
         """Build a table from its packed integer (bit m = value at index m)."""
-        return _from_packed(cls, arity, bits, allow_big)
+        return cls._from_int(arity, bits, allow_big)
 
-    @property
-    def values(self):
-        """Tuple of 2**arity values; values[m] is the value at index m."""
-        if self._unpacked is None:
-            self._unpacked = _unpack(self._bits, self.arity)
-        return self._unpacked
-
-    def to_int(self):
-        """Packed integer representation; bit m holds values[m]."""
-        return self._bits
-
-    def __eq__(self, other):
-        if not isinstance(other, TruthTable):
-            return NotImplemented
-        return self.arity == other.arity and self._bits == other._bits
-
-    def __hash__(self):
-        return hash((self.arity, self._bits))
-
-    def __repr__(self):
-        return f"TruthTable(arity={self.arity}, values={list(self.values)})"
+    values = property(
+        _PackedVector._entries,
+        doc="Tuple of 2**arity values; values[m] is the value at index m.",
+    )
 
 
-class CoeffVector:
+class CoeffVector(_PackedVector):
     """Algebraic normal form coefficients, indexed by variable subsets.
 
     coeffs[m] is the coefficient of the monomial over the subset whose
     characteristic bit vector is m (m = 0 is the constant term).
     """
 
-    __slots__ = ("arity", "_bits", "_unpacked")
+    __slots__ = ()
+    _accessor, _noun, _what = "coeffs", "coefficients", "ANF coefficients"
 
     def __init__(self, arity, coeffs, allow_big=False):
-        _check_arity(arity, allow_big)
-        coeffs = tuple(coeffs)
-        if len(coeffs) != 1 << arity:
-            raise ValueError(
-                f"expected {1 << arity} coefficients for arity {arity}, got {len(coeffs)}"
-            )
-        _check_bits(coeffs, "ANF coefficients")
-        self.arity = arity
-        self._unpacked = coeffs
-        self._bits = sum(v << m for m, v in enumerate(coeffs))
+        self._init(arity, coeffs, allow_big)
 
     @classmethod
     def from_int(cls, arity, bits, allow_big=False):
-        return _from_packed(cls, arity, bits, allow_big)
+        """Build a vector from its packed integer (bit m = coeffs[m])."""
+        return cls._from_int(arity, bits, allow_big)
 
-    @property
-    def coeffs(self):
-        """Tuple of 2**arity coefficients; coeffs[m] belongs to subset mask m."""
-        if self._unpacked is None:
-            self._unpacked = _unpack(self._bits, self.arity)
-        return self._unpacked
-
-    def to_int(self):
-        return self._bits
-
-    def __eq__(self, other):
-        if not isinstance(other, CoeffVector):
-            return NotImplemented
-        return self.arity == other.arity and self._bits == other._bits
-
-    def __hash__(self):
-        return hash((self.arity, self._bits))
-
-    def __repr__(self):
-        return f"CoeffVector(arity={self.arity}, coeffs={list(self.coeffs)})"
+    coeffs = property(
+        _PackedVector._entries,
+        doc="Tuple of 2**arity coefficients; coeffs[m] belongs to subset mask m.",
+    )
 
 
 @lru_cache(maxsize=None)

@@ -1,11 +1,12 @@
-"""Command-line surface: file formats, subcommands, and reports.
+"""Command-line surface: subcommands and reports.
 
 Subcommands: ``infer`` (per-node fitting NCF sets and a summary table),
 ``enumerate-ncfs`` (the full NCF catalog for one arity), ``dynamics``
 (phase space of one fully specified model), ``sample`` (ensemble
-statistics), ``check`` (dual-route inference validation).  All randomness
-flows from --seed; reports embed content digests of their inputs; output
-files are only written once a run has fully succeeded.
+statistics), ``check`` (dual-route inference validation).  Input files are
+read by :mod:`ncfinfer.formats`.  All randomness flows from --seed; reports
+embed content digests of their inputs; output files are only written once
+a run has fully succeeded, and then all together or not at all.
 """
 
 import argparse
@@ -13,158 +14,30 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
+import tempfile
+from math import prod
 from pathlib import Path
 
-from .boolfun import anf_string, anf_to_tt, parse_anf, tt_to_anf
+from .boolfun import anf_string, tt_to_anf
 from .dynamics import (
     BooleanNetwork,
     phase_space,
     sample_ensemble,
     trajectory_component_size,
 )
-from .errors import ParseError, ToolError
-from .infer import (
-    TimeCourse,
-    WiringDiagram,
-    count_models,
-    cross_check,
-    infer_all,
-    states_as_ints,
-)
+from .errors import ToolError
+# called by these bare names: the benchmark (perfbench/job.py) times parsing
+# by wrapping them on this module
+from .formats import parse_rules, parse_timecourse, parse_wiring
+from .infer import count_models, cross_check, infer_all, states_as_ints
 from .ncf import enumerate_ncfs
-
-
-def parse_wiring(text):
-    """Wiring file: {"nodes": [names...], "regulators": {name: [names...]}}.
-
-    Node order fixes variable indexing; each regulator list's order fixes
-    the input order of that node's local function.
-    """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"wiring file is not valid JSON: {e}", line=e.lineno)
-    if not isinstance(doc, dict) or "nodes" not in doc or "regulators" not in doc:
-        raise ParseError('wiring file needs "nodes" and "regulators" entries')
-    nodes = doc["nodes"]
-    if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
-        raise ParseError('"nodes" must be a list of names', field="nodes")
-    if len(set(nodes)) != len(nodes):
-        dup = sorted(n for n in set(nodes) if nodes.count(n) > 1)
-        raise ParseError(f"duplicate node names {dup}", field="nodes")
-    regs_doc = doc["regulators"]
-    if not isinstance(regs_doc, dict):
-        raise ParseError('"regulators" must map node names to name lists',
-                         field="regulators")
-    index = {n: i for i, n in enumerate(nodes)}
-    unknown = sorted(set(regs_doc) - set(nodes))
-    if unknown:
-        raise ParseError(f"regulators given for unknown nodes {unknown}",
-                         field="regulators")
-    missing = sorted(set(nodes) - set(regs_doc))
-    if missing:
-        raise ParseError(f"no regulator list for nodes {missing}",
-                         field="regulators")
-    regulators = []
-    for n in nodes:
-        lst = regs_doc[n]
-        if not isinstance(lst, list):
-            raise ParseError(f"regulator list of {n!r} must be a list", field=n)
-        for r in lst:
-            if r not in index:
-                raise ParseError(f"node {n!r} names absent regulator {r!r}",
-                                 field=n)
-        regulators.append([index[r] for r in lst])
-    try:
-        return WiringDiagram(nodes, regulators)
-    except (ValueError, ToolError) as e:
-        raise ParseError(f"invalid wiring: {e}") from e
-
-
-def serialize_wiring(wiring):
-    return json.dumps(
-        {
-            "nodes": list(wiring.nodes),
-            "regulators": {
-                n: list(wiring.regulator_names(i))
-                for i, n in enumerate(wiring.nodes)
-            },
-        },
-        indent=2,
-    ) + "\n"
-
-
-def parse_timecourse(text):
-    """Time-course file: CSV, header of node names, one 0/1 row per step."""
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r]  # tolerate trailing blank lines
-    if len(rows) < 2:
-        raise ParseError("time course needs a header and at least one row")
-    header = [h.strip() for h in rows[0]]
-    states = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ParseError(
-                f"row has {len(row)} cells, header has {len(header)}",
-                line=lineno,
-            )
-        state = []
-        for col, cell in zip(header, row):
-            cell = cell.strip()
-            if cell not in ("0", "1"):
-                raise ParseError(
-                    f"cell {cell!r} in column {col!r} is not 0/1",
-                    line=lineno, field=col,
-                )
-            state.append(int(cell))
-        states.append(state)
-    try:
-        return TimeCourse(header, states)
-    except ValueError as e:
-        raise ParseError(f"invalid time course: {e}") from e
-
-
-def serialize_timecourse(course):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(course.nodes)
-    writer.writerows(course.rows)
-    return buf.getvalue()
-
-
-def parse_rules(text, wiring):
-    """Rules file: {"rules": {node: ANF string}}, x_j = node's j-th regulator."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"rules file is not valid JSON: {e}", line=e.lineno)
-    rules = doc.get("rules") if isinstance(doc, dict) else None
-    if not isinstance(rules, dict):
-        raise ParseError('rules file needs a "rules" mapping')
-    missing = sorted(set(wiring.nodes) - set(rules))
-    if missing:
-        raise ParseError(f"no rule for nodes {missing}")
-    unknown = sorted(set(rules) - set(wiring.nodes))
-    if unknown:
-        raise ParseError(f"rules for unknown nodes {unknown}")
-    tables = []
-    for i, name in enumerate(wiring.nodes):
-        arity = len(wiring.regulators[i])
-        try:
-            tables.append(anf_to_tt(parse_anf(rules[name], arity)))
-        except ValueError as e:
-            raise ParseError(f"rule for {name!r}: {e}", field=name) from e
-    return tables
-
-
-def _sha256(data):
-    return hashlib.sha256(data).hexdigest()
 
 
 def _read_input(path):
     data = Path(path).read_bytes()
-    return data.decode("utf-8"), _sha256(data)
+    return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
 
 
 def _json_report(obj):
@@ -172,11 +45,16 @@ def _json_report(obj):
 
 
 def _write_outputs(out_dir, outputs):
-    # nothing is written unless the whole run succeeded
+    # nothing is written unless the whole run succeeded, and a failed write
+    # leaves no report behind: every file is staged in a temporary directory
+    # beside its final place and moved in only once all of them are written
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, content in outputs.items():
-        (out / name).write_text(content)
+    with tempfile.TemporaryDirectory(prefix=".partial-", dir=out) as staging:
+        for name, content in outputs.items():
+            (Path(staging) / name).write_text(content)
+        for name in outputs:
+            os.replace(Path(staging) / name, out / name)
 
 
 def _state_bits(n, value):
@@ -219,15 +97,13 @@ def _infer_payload(result, digests):
             }
         )
     without = [rec.name for rec in result.nodes if len(rec.ncfs) == 0]
-    nonzero = 1
-    for rec in result.nodes:
-        if len(rec.ncfs):
-            nonzero *= len(rec.ncfs)
     return {
         "inputs": digests,
         "nodes": nodes_payload,
         "model_count": count_models(result),
-        "model_count_nonzero_nodes": nonzero,
+        "model_count_nonzero_nodes": prod(
+            len(rec.ncfs) for rec in result.nodes if rec.ncfs
+        ),
         "nodes_without_ncf": without,
     }
 

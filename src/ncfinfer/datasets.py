@@ -8,6 +8,8 @@ graph.
 
 from importlib.resources import files
 
+from .formats import parse_timecourse, parse_wiring
+
 
 def yeast_wiring_path():
     return files("ncfinfer").joinpath("data/yeast_wiring.json")
@@ -19,8 +21,6 @@ def yeast_timecourse_path():
 
 def load_yeast():
     """The bundled wiring diagram and time course, parsed."""
-    from .cli import parse_timecourse, parse_wiring
-
     wiring = parse_wiring(yeast_wiring_path().read_text())
     course = parse_timecourse(yeast_timecourse_path().read_text())
     return wiring, course

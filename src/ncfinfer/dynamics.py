@@ -12,13 +12,11 @@ states on the attractor cycles come from pointer doubling, and components
 follow by labeling each cycle.  Ensemble sampling draws each node's local
 function independently and uniformly from its candidate set; every sample
 uses its own deterministically derived generator, so results are
-bit-identical for a given seed no matter how samples are scheduled.
+bit-identical for a given seed.
 """
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -233,17 +231,8 @@ class EnsembleStats:
 
     def as_dict(self):
         return {
-            "mode": self.mode,
-            "seed": self.seed,
-            "sample_count": self.sample_count,
-            "mean_components": self.mean_components,
-            "mean_trajectory_component_size": self.mean_trajectory_component_size,
-            "count_trajectory_not_in_largest": self.count_trajectory_not_in_largest,
-            "mean_size_when_not_largest": self.mean_size_when_not_largest,
-            "bin_width": self.bin_width,
-            "histogram": list(self.histogram),
-            "trajectory_sizes": list(self.trajectory_sizes),
-            "component_counts": list(self.component_counts),
+            k: list(v) if isinstance(v, tuple) else v
+            for k, v in asdict(self).items()
         }
 
 
@@ -265,7 +254,7 @@ def _candidate_draw(rec, space, rng, mode):
     raise ValueError(f"unknown sampling mode {mode!r}")
 
 
-def sample_ensemble(result, samples, seed, mode, threads=None):
+def sample_ensemble(result, samples, seed, mode):
     """Statistics over networks drawn from a node-wise uniform ensemble.
 
     Each sample chooses every node's local function independently and
@@ -277,7 +266,7 @@ def sample_ensemble(result, samples, seed, mode, threads=None):
 
     Sample j uses the Mersenne Twister seeded with seed * 2**32 + j and
     draws node by node in wiring order, so output is a pure function of
-    (seed, mode, samples, result) and is identical under any thread count.
+    (seed, mode, samples, result).  Samples run one after another.
     The reference trajectory is the first time course.
     """
     if samples <= 0:
@@ -288,7 +277,8 @@ def sample_ensemble(result, samples, seed, mode, threads=None):
     spaces = [ModelSpace.from_data(rec.data) for rec in result.nodes]
     trajectories = result.trajectories()
 
-    def one_sample(j):
+    rows = []
+    for j in range(samples):
         rng = random.Random((seed << 32) + j)
         tables = [
             _candidate_draw(rec, ms, rng, mode)
@@ -298,15 +288,7 @@ def sample_ensemble(result, samples, seed, mode, threads=None):
         # every course must stay inside one component; the first is the
         # reference trajectory the statistics are about
         sizes = [trajectory_component_size(space, t) for t in trajectories]
-        return (space.component_count, sizes[0], max(space.component_sizes))
-
-    if threads is None:
-        threads = max(1, int(os.environ.get("NCF_THREADS", "1")))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_sample, range(samples)))
-    else:
-        rows = [one_sample(j) for j in range(samples)]
+        rows.append((space.component_count, sizes[0], max(space.component_sizes)))
 
     comp_counts = tuple(r[0] for r in rows)
     traj_sizes = tuple(r[1] for r in rows)

@@ -170,17 +170,17 @@ class ModelSpace:
                 f"refusing to materialize 2^{free} tables",
                 free_bits=free,
             )
-        base = self.interpolant.to_int()
         for assign in range(1 << free):
-            bits = base
-            for j, idx in enumerate(self.unseen):
-                bits |= ((assign >> j) & 1) << idx
-            yield TruthTable.from_int(self.arity, bits, allow_big=True)
+            yield self._fill(assign)
 
     def sample(self, rng):
         """One fitting function uniformly at random (rng: random.Random)."""
         free = len(self.unseen)
-        assign = rng.getrandbits(free) if free else 0
+        return self._fill(rng.getrandbits(free) if free else 0)
+
+    def _fill(self, assign):
+        # the interpolant with bit j of `assign` scattered to the j-th
+        # smallest unobserved index
         bits = self.interpolant.to_int()
         for j, idx in enumerate(self.unseen):
             bits |= ((assign >> j) & 1) << idx

@@ -1,17 +1,23 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ncfinfer.cli import (
+import ncfinfer
+from ncfinfer import cli, formats
+from ncfinfer.cli import run
+from ncfinfer.datasets import yeast_timecourse_path, yeast_wiring_path
+from ncfinfer.errors import ParseError
+from ncfinfer.formats import (
     parse_rules,
     parse_timecourse,
     parse_wiring,
-    run,
     serialize_timecourse,
     serialize_wiring,
 )
-from ncfinfer.datasets import yeast_timecourse_path, yeast_wiring_path
-from ncfinfer.errors import ParseError
 
 WIRING_AB = '{"nodes": ["A", "B"], "regulators": {"A": ["B"], "B": ["A", "B"]}}'
 
@@ -240,3 +246,47 @@ def test_no_partial_outputs_on_failure(tmp_path, capsys):
     capsys.readouterr()
     assert code == 1
     assert not out.exists()
+
+
+def test_failed_report_write_leaves_no_report(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    real_write_text = Path.write_text
+    written = []
+
+    def write_text(self, *args, **kwargs):
+        written.append(self.name)
+        if len(written) == 2:
+            raise OSError("no space left on device")
+        return real_write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+    code = run(["enumerate-ncfs", "2", "--out", str(out)])
+    monkeypatch.undo()
+    assert code == 1
+    assert written == ["ncfs_k2.txt", "ncfs_k2.json"]
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == {"type": "OSError", "message": "no space left on device"}
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_load_yeast_does_not_import_cli():
+    src = str(Path(ncfinfer.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    probe = (
+        "import sys\n"
+        "from ncfinfer.datasets import load_yeast\n"
+        "load_yeast()\n"
+        "assert 'ncfinfer.cli' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+
+
+@pytest.mark.parametrize(
+    "name", ["parse_wiring", "parse_timecourse", "parse_rules"]
+)
+def test_cli_calls_the_format_parsers_by_module_name(name):
+    # the benchmark times parsing by wrapping these names on the cli module
+    assert getattr(cli, name) is getattr(formats, name)
