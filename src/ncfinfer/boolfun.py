@@ -57,16 +57,8 @@ def index_to_point(arity, index):
     return tuple((index >> i) & 1 for i in range(arity))
 
 
-def subset_to_index(subset):
-    """Map a variable subset (iterable of 1-based ids) to its mask index."""
-    idx = 0
-    for i in subset:
-        idx |= 1 << (i - 1)
-    return idx
-
-
 def index_to_subset(index):
-    """Inverse of :func:`subset_to_index`, as a frozenset of 1-based ids."""
+    """The variables of a subset mask, as a frozenset of 1-based ids."""
     out = []
     i = 1
     while index:

@@ -116,7 +116,7 @@ def _infer_table(payload):
             str(n["in_degree"]),
             str(n["distinct_inputs"]),
             str(n["model_space_size"]),
-            str(len(enumerate_ncfs(n["in_degree"]))),
+            str(len(enumerate_ncfs(n["in_degree"])) if n["in_degree"] else 0),
             str(n["ncf_count"]),
         ]
         for n in payload["nodes"]

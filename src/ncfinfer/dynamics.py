@@ -99,10 +99,6 @@ class PhaseSpace:
     def component_count(self):
         return len(self.component_sizes)
 
-    def component_members(self, label):
-        """All states of one component, ascending."""
-        return np.flatnonzero(self.component_of == label)
-
 
 class _WiringKernel:
     """Precomputed per-node local-input indices for all 2^n states.

@@ -13,10 +13,10 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-from .boolfun import TruthTable
+from .boolfun import TruthTable, variable_masks
 from .errors import CapacityError, InconsistentDataError
 from .modelspace import LocalData, _fits_int, interpolant, model_space_size
-from .ncf import NcfForm, NcfSet, enumerate_ncfs, ncf_from_form
+from .ncf import NcfForm, NcfSet, _fitting_forms, enumerate_ncfs, ncf_from_form
 
 IN_DEGREE_CAP = 5
 
@@ -182,8 +182,13 @@ def local_data(wiring, timecourses, node):
 
 
 def infer_ncfs(wiring, timecourses, node):
-    """All nested canalyzing functions on the node's regulators fitting its data."""
+    """All nested canalyzing functions on the node's regulators fitting its data.
+
+    A node without regulators has none: every cascade tests an input.
+    """
     data = local_data(wiring, timecourses, node)
+    if data.arity == 0:
+        return NcfSet(0, [])
     candidates = enumerate_ncfs(data.arity)
     return candidates.filtered(lambda t: _fits_int(t.to_int(), data))
 
@@ -198,23 +203,6 @@ def _embed(sub_bits, positions, arity):
             sub_idx |= ((idx >> (pos - 1)) & 1) << j
         bits |= ((sub_bits >> sub_idx) & 1) << idx
     return bits
-
-
-def _project(data, positions):
-    # The data read off the variables at 1-based `positions` (ascending),
-    # as packed (seen, value) masks; None when two observed inputs that
-    # agree on those variables have different outputs.
-    seen = value = 0
-    for point, out in data.pairs:
-        bit = 1 << sum(point[pos - 1] << j for j, pos in enumerate(positions))
-        if seen & bit:
-            if bool(value & bit) != out:
-                return None
-        else:
-            seen |= bit
-            if out:
-                value |= bit
-    return seen, value
 
 
 def near_misses(wiring, timecourses, node):
@@ -237,12 +225,18 @@ def near_misses(wiring, timecourses, node):
             found[const_bits] = frozenset()
     for size in range(1, k):
         for positions in itertools.combinations(range(1, k + 1), size):
-            projected = _project(data, positions)
-            if projected is None:
+            try:
+                projected = LocalData(
+                    size,
+                    [
+                        (tuple(point[pos - 1] for pos in positions), out)
+                        for point, out in data.pairs
+                    ],
+                )
+            except InconsistentDataError:
                 continue
-            seen, value = projected
             for sub in enumerate_ncfs(size):
-                if sub.to_int() & seen == value:
+                if _fits_int(sub.to_int(), projected):
                     found[_embed(sub.to_int(), positions, k)] = frozenset(positions)
     return [
         (TruthTable.from_int(k, bits, allow_big=True), ess)
@@ -323,31 +317,22 @@ def count_models(result):
 def cross_check(wiring, timecourses, node):
     """Compare two independent inference routes for one node.
 
-    Route one filters the cached bit-parallel enumeration.  Route two
-    evaluates every cascade form pointwise at the observed inputs only,
-    stops at the first disagreement, and builds the table of each form
-    that fits.  Both must produce the same set.
+    Route one is :func:`infer_ncfs`, the filtered enumeration that
+    ``infer`` reports.  Route two peels cascades against the observed
+    points only: a variable may be tested first with input a and output b
+    when every observed input with that variable at a has output b, and
+    the rest of the cascade must fit the other observed inputs.  It builds
+    the table of each fitting form pointwise.  Both must give the same set.
     """
     data = local_data(wiring, timecourses, node)
-    route_enum = {
-        t.to_int() for t in enumerate_ncfs(data.arity) if _fits_int(t.to_int(), data)
-    }
-    route_forms = set()
+    route_infer = {t.to_int() for t in infer_ncfs(wiring, timecourses, node)}
     k = data.arity
-    for order in itertools.permutations(range(1, k + 1)):
-        for a in itertools.product((0, 1), repeat=k):
-            layers = tuple(zip(order, a))
-            for b in itertools.product((0, 1), repeat=k):
-                default = 1 - b[-1]
-                for point, out in data.pairs:
-                    for (var, canalyzing), forced in zip(layers, b):
-                        if point[var - 1] == canalyzing:
-                            value = forced
-                            break
-                    else:
-                        value = default
-                    if value != out:
-                        break
-                else:
-                    route_forms.add(ncf_from_form(NcfForm(order, a, b)).to_int())
-    return route_enum == route_forms
+    forms = _fitting_forms(
+        data._value_bits,
+        data._seen_bits,
+        range(k),
+        variable_masks(k),
+        (1 << (1 << k)) - 1,
+    )
+    route_peel = {ncf_from_form(NcfForm(*f)).to_int() for f in forms}
+    return route_infer == route_peel

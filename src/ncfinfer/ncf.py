@@ -61,8 +61,7 @@ class NcfForm:
         k = len(self.order)
         if k == 0:
             raise ValueError("a cascade needs at least one layer")
-        if sorted(self.order) != list(range(1, k + 1)):
-            raise ValueError(f"order {self.order} is not a permutation of 1..{k}")
+        _check_order(self.order, k)
         if len(self.inputs) != k or len(self.outputs) != k:
             raise ValueError("inputs and outputs must have one entry per layer")
         for v in self.inputs + self.outputs:
@@ -93,19 +92,36 @@ def ncf_from_form(form):
     return TruthTable(k, values, allow_big=True)
 
 
-def _form_table_int(k, order0, a_bits, b_bits, varmasks, full):
-    # Bit-parallel ncf_from_form: order0 is 0-based, a/b packed as ints.
-    table = 0
-    undecided = full
-    for layer, var in enumerate(order0):
-        hit = varmasks[var] if (a_bits >> layer) & 1 else full ^ varmasks[var]
-        hit &= undecided
-        if (b_bits >> layer) & 1:
-            table |= hit
-        undecided &= ~hit
-    if not (b_bits >> (k - 1)) & 1:
-        table |= undecided
-    return table
+def _check_order(order, k):
+    if sorted(order) != list(range(1, k + 1)):
+        raise ValueError(f"order {order} is not a permutation of 1..{k}")
+
+
+def _fitting_forms(value, seen, free, varmasks, full):
+    # Yields (order, inputs, outputs), order 1-based, for every cascade on
+    # the 0-based variables `free` that takes `value` at each point of the
+    # mask `seen`.  Variable v may come first with input a and output b
+    # when every seen point with x_v = a has value b; the rest of the
+    # cascade must fit the seen points with x_v != a, and with no variable
+    # left those take the default 1 - b.  Looping v, a, b in ascending
+    # order yields forms in lexicographic order, inputs and outputs
+    # compared from the last layer back.
+    for v in free:
+        rest = tuple(u for u in free if u != v)
+        for a in (0, 1):
+            hit = seen & (varmasks[v] if a else full ^ varmasks[v])
+            left = seen ^ hit
+            for b in (0, 1):
+                if value & hit != (hit if b else 0):
+                    continue
+                if not rest:
+                    if value & left == (0 if b else left):
+                        yield (v + 1,), (a,), (b,)
+                    continue
+                for order, inputs, outputs in _fitting_forms(
+                    value, left, rest, varmasks, full
+                ):
+                    yield (v + 1,) + order, (a,) + inputs, (b,) + outputs
 
 
 def completion(subset, order):
@@ -119,8 +135,7 @@ def completion(subset, order):
         raise ValueError("completion is undefined for the empty subset")
     order = tuple(order)
     k = len(order)
-    if sorted(order) != list(range(1, k + 1)):
-        raise ValueError(f"order {order} is not a permutation of 1..{k}")
+    _check_order(order, k)
     if not subset <= set(order):
         raise ValueError(f"subset {sorted(subset)} not within variables 1..{k}")
     r = max(i for i, var in enumerate(order) if var in subset)
@@ -169,8 +184,7 @@ def is_ncf_wrt(coeffs, order):
     """
     k = coeffs.arity
     order = tuple(order)
-    if sorted(order) != list(range(1, k + 1)):
-        raise ValueError(f"order {order} is not a permutation of 1..{k}")
+    _check_order(order, k)
     if k == 0:
         return False
     c = coeffs.to_int()
@@ -295,23 +309,6 @@ class NcfSet:
         return records
 
 
-def _iter_form_ints(k):
-    # Yields (table int, 0-based order, a bits, b bits) over all cascade
-    # forms in lexicographic (order, inputs, outputs) generation order;
-    # the full scan behind ncf_forms_of.
-    varmasks = variable_masks(k)
-    full = (1 << (1 << k)) - 1
-    for order0 in itertools.permutations(range(k)):
-        for a_bits in range(1 << k):
-            for b_bits in range(1 << k):
-                yield (
-                    _form_table_int(k, order0, a_bits, b_bits, varmasks, full),
-                    order0,
-                    a_bits,
-                    b_bits,
-                )
-
-
 def _layer_partitions(rest):
     # Ordered partitions of the variable mask `rest` into nonempty layer
     # masks whose last layer holds at least two variables.
@@ -413,21 +410,13 @@ def enumerate_ncfs(k, allow_big=False):
 def ncf_forms_of(table):
     """All cascade forms generating ``table``; empty iff it is not an NCF.
 
-    Scans every form of the table's arity, so intended for diagnostics and
-    witness recovery, not bulk enumeration.
+    Peels canalyzing variables off the table: a variable may be tested
+    first with input a and output b when the table is b wherever that
+    variable is a, and the rest of the cascade must generate the table on
+    the other half.  Forms come out in lexicographic (order, inputs,
+    outputs) order, inputs and outputs compared from the last layer back.
     """
     k = table.arity
-    if k == 0:
-        return []
-    target = table.to_int()
-    out = []
-    for bits, order0, a_bits, b_bits in _iter_form_ints(k):
-        if bits == target:
-            out.append(
-                NcfForm(
-                    tuple(v + 1 for v in order0),
-                    tuple((a_bits >> i) & 1 for i in range(k)),
-                    tuple((b_bits >> i) & 1 for i in range(k)),
-                )
-            )
-    return out
+    full = (1 << (1 << k)) - 1
+    forms = _fitting_forms(table.to_int(), full, range(k), variable_masks(k), full)
+    return [NcfForm(*f) for f in forms]

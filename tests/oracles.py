@@ -39,6 +39,24 @@ def all_cascade_ints(k):
     return out
 
 
+def cascade_forms_by_table(k):
+    """Every cascade on k inputs as (order, inputs, outputs), by packed table.
+
+    Forms are listed in generation order: orders lexicographically, then
+    inputs, then outputs, each compared from the last layer back.
+    """
+    # reversed product tuples vary the last layer slowest
+    bit_tuples = [p[::-1] for p in itertools.product((0, 1), repeat=k)]
+    out = {}
+    for order in itertools.permutations(range(1, k + 1)):
+        for a in bit_tuples:
+            for b in bit_tuples:
+                values = cascade_values(order, a, b)
+                bits = sum(v << m for m, v in enumerate(values))
+                out.setdefault(bits, []).append((order, a, b))
+    return out
+
+
 def anf_coeff(values, subset_mask, k):
     """One ANF coefficient by direct subset summation over F2.
 

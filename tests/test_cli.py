@@ -215,6 +215,27 @@ def test_run_check(yeast_files, capsys):
     assert "MBF: ok" in capsys.readouterr().out
 
 
+def test_node_without_regulators(tmp_path, capsys):
+    wiring = tmp_path / "w.json"
+    course = tmp_path / "c.csv"
+    # A has no regulators; its constant data forces the function 1
+    wiring.write_text(
+        '{"nodes": ["A", "B"], "regulators": {"A": [], "B": ["A", "B"]}}'
+    )
+    course.write_text("A,B\n1,0\n1,1\n1,1\n")
+    io_args = ["--wiring", str(wiring), "--timecourse", str(course)]
+    out = tmp_path / "out"
+    assert run(["infer", *io_args, "--out", str(out)]) == 0
+    a = json.loads((out / "infer.json").read_text())["nodes"][0]
+    assert a["ncf_count"] == 0 and a["forced_function"] == "1"
+    for mode in ("ncf", "unrestricted"):
+        sample = ["sample", *io_args, "--mode", mode, "-m", "5", "--seed", "1"]
+        assert run(sample) == 0
+    capsys.readouterr()
+    assert run(["check", *io_args]) == 0
+    assert capsys.readouterr().out == "A: ok\nB: ok\n"
+
+
 def test_run_error_is_machine_readable(tmp_path, capsys):
     wiring = tmp_path / "w.json"
     course = tmp_path / "c.csv"

@@ -18,7 +18,7 @@ from ncfinfer.infer import (
     near_misses,
 )
 from ncfinfer.modelspace import fits
-from ncfinfer.ncf import is_ncf
+from ncfinfer.ncf import NcfSet, is_ncf
 
 
 def test_wiring_validation():
@@ -240,6 +240,20 @@ def test_cross_check_catches_a_dropped_member(yeast, monkeypatch):
         lambda k, allow_big=False: real(k, allow_big).filtered(lambda t: t != dropped),
     )
     assert len(infer_ncfs(wiring, course, i)) == 11
+    assert not cross_check(wiring, course, i)
+
+
+def test_cross_check_validates_the_filtered_set(yeast, monkeypatch):
+    wiring, course = yeast
+    i = wiring.index("Cdh1")
+    assert cross_check(wiring, course, i)
+    real = NcfSet.filtered
+
+    def drop_first(self, keep):
+        kept = real(self, keep)
+        return NcfSet(kept.arity, kept.members[1:])
+
+    monkeypatch.setattr(NcfSet, "filtered", drop_first)
     assert not cross_check(wiring, course, i)
 
 

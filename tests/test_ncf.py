@@ -1,7 +1,10 @@
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ncfinfer.boolfun import TruthTable, essential_vars, tt_to_anf
@@ -208,3 +211,33 @@ def test_ncf_set_filtered_keeps_witnesses():
     assert all(t.to_int() % 2 == 1 for t in odd)
     for t in odd:
         assert ncf_from_form(odd.witness(t)) == t
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_forms(k):
+    return oracles.cascade_forms_by_table(k)
+
+
+def _forms(k, bits):
+    forms = ncf_forms_of(TruthTable.from_int(k, bits))
+    return [(f.order, f.inputs, f.outputs) for f in forms]
+
+
+def test_ncf_forms_of_matches_oracle_all_tables_small_k():
+    for k in (1, 2, 3):
+        by_table = _oracle_forms(k)
+        for bits in range(1 << (1 << k)):
+            assert _forms(k, bits) == by_table.get(bits, [])
+
+
+def test_ncf_forms_of_matches_oracle_every_k4_ncf():
+    by_table = _oracle_forms(4)
+    assert len(by_table) == 736
+    for bits, forms in by_table.items():
+        assert _forms(4, bits) == forms
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=(1 << 16) - 1))
+def test_ncf_forms_of_matches_oracle_random_k4(bits):
+    assert _forms(4, bits) == _oracle_forms(4).get(bits, [])
