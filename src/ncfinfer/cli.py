@@ -17,8 +17,11 @@ import json
 import os
 import sys
 import tempfile
+from itertools import accumulate, chain
 from math import prod
 from pathlib import Path
+
+import numpy as np
 
 from .boolfun import anf_string, tt_to_anf
 from .dynamics import (
@@ -57,8 +60,14 @@ def _write_outputs(out_dir, outputs):
             os.replace(Path(staging) / name, out / name)
 
 
-def _state_bits(n, value):
-    return "".join(str((value >> i) & 1) for i in range(n))
+def _attractor_bits(n, cycles):
+    """Each attractor as a list of its states in n '0'/'1' characters, node 0
+    first; every state is rendered in one numpy pass."""
+    ends = list(accumulate(map(len, cycles)))
+    states = np.fromiter(chain.from_iterable(cycles), dtype=np.int64, count=ends[-1])
+    chars = ((states[:, None] >> np.arange(n)) & 1).astype(np.uint8) + ord("0")
+    words = chars.view(f"S{n}")[:, 0].astype(str).tolist()
+    return [words[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def _load_course_args(args):
@@ -192,9 +201,7 @@ def cmd_dynamics(args):
         "states": 1 << n,
         "components": space.component_count,
         "component_sizes": list(space.component_sizes),
-        "attractors": [
-            [_state_bits(n, s) for s in cycle] for cycle in space.attractors
-        ],
+        "attractors": _attractor_bits(n, space.attractors),
     }
     if args.timecourse:
         courses, digests = _load_course_args(args)
@@ -206,7 +213,7 @@ def cmd_dynamics(args):
         payload["trajectory_component_sizes"] = sizes
     sys.stdout.write(
         f"{1 << n} states, {space.component_count} components, "
-        f"attractor lengths {[len(c) for c in space.attractors]}\n"
+        f"attractor lengths {list(map(len, space.attractors))}\n"
     )
     if args.out:
         _write_outputs(args.out, {"dynamics.json": _json_report(payload)})

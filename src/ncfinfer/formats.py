@@ -52,6 +52,9 @@ def parse_wiring(text):
         if not isinstance(lst, list):
             raise ParseError(f"regulator list of {n!r} must be a list", field=n)
         for r in lst:
+            if not isinstance(r, str):
+                raise ParseError(f"regulator {r!r} of {n!r} must be a name",
+                                 field=n)
             if r not in index:
                 raise ParseError(f"node {n!r} names absent regulator {r!r}",
                                  field=n)
@@ -131,6 +134,9 @@ def parse_rules(text, wiring):
     tables = []
     for i, name in enumerate(wiring.nodes):
         arity = len(wiring.regulators[i])
+        if not isinstance(rules[name], str):
+            raise ParseError(f"rule for {name!r} must be an ANF string",
+                             field=name)
         try:
             tables.append(anf_to_tt(parse_anf(rules[name], arity)))
         except ValueError as e:

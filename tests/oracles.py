@@ -111,3 +111,34 @@ def restrict(bits, k, positions):
                 point |= 1 << (pos - 1)
         out |= ((bits >> point) & 1) << sub
     return out
+
+
+def functional_graph(succ):
+    """Components, attractors and component sizes of the map m -> succ[m].
+
+    Walks from every state until a state repeats; the states from the first
+    repeat on form that state's cycle.  Components are numbered by their
+    smallest cycle state, and each attractor starts at its smallest state.
+    Returns (component_of, attractors, sizes) as a list and two tuples.
+    """
+    head_of = []
+    for start in range(len(succ)):
+        path = {}  # state -> step at which the walk reached it
+        cur = start
+        while cur not in path:
+            path[cur] = len(path)
+            cur = succ[cur]
+        head_of.append(min(list(path)[path[cur]:]))
+    heads = sorted(set(head_of))
+    number = {h: c for c, h in enumerate(heads)}
+    component_of = [number[h] for h in head_of]
+    attractors = []
+    for h in heads:
+        cycle = [h]
+        while succ[cycle[-1]] != h:
+            cycle.append(succ[cycle[-1]])
+        attractors.append(tuple(cycle))
+    sizes = [0] * len(heads)
+    for c in component_of:
+        sizes[c] += 1
+    return component_of, tuple(attractors), tuple(sizes)

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncfinfer
 from ncfinfer import cli, formats
@@ -267,6 +269,80 @@ def test_no_partial_outputs_on_failure(tmp_path, capsys):
     capsys.readouterr()
     assert code == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "wiring, rules",
+    [
+        ('{"nodes": ["A", "B"], "regulators": {"A": [["B"]], "B": []}}',
+         '{"rules": {"A": "x1", "B": "0"}}'),
+        ('{"nodes": ["A"], "regulators": {"A": ["A"]}}', '{"rules": {"A": 1}}'),
+        ('{"nodes": ["A"], "regulators": {"A": ["A"]}}', '{"rules": {"A": null}}'),
+    ],
+)
+def test_malformed_input_is_a_parse_error(tmp_path, capsys, wiring, rules):
+    (tmp_path / "w.json").write_text(wiring)
+    (tmp_path / "r.json").write_text(rules)
+    out = tmp_path / "out"
+    code = run(["dynamics", "--wiring", str(tmp_path / "w.json"),
+                "--rules", str(tmp_path / "r.json"), "--out", str(out)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ParseError"
+    assert err["error"]["field"] == "A"
+    assert not out.exists()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+names = st.sampled_from(["A", "B", "C"])
+# documents shaped like a wiring file, so that most reach the regulator lists
+wiring_docs = st.lists(names, unique=True, max_size=3).flatmap(
+    lambda nodes: st.fixed_dictionaries(
+        {
+            "nodes": st.just(nodes),
+            "regulators": st.fixed_dictionaries(
+                {n: json_values | st.lists(names | json_values, max_size=3)
+                 for n in nodes}
+            ),
+        }
+    )
+)
+# rules files for the wiring WIRING_AB, so that most reach the rule strings
+rules_docs = st.fixed_dictionaries(
+    {"rules": st.fixed_dictionaries(
+        {n: json_values | st.sampled_from(["x1", "x1*x2 + 1", "x3", ""])
+         for n in "AB"}
+    )}
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(wiring=json_values | wiring_docs, rules=json_values | rules_docs)
+def test_parsers_raise_only_parse_errors(wiring, rules):
+    try:
+        parse_wiring(json.dumps(wiring))
+    except ParseError:
+        pass
+    try:
+        parse_rules(json.dumps(rules), parse_wiring(WIRING_AB))
+    except ParseError:
+        pass
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(ncfinfer.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "ncfinfer", "--help"],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: ncfinfer")
 
 
 def test_failed_report_write_leaves_no_report(tmp_path, capsys, monkeypatch):

@@ -1,10 +1,16 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncfinfer.boolfun import TruthTable
+import oracles
+from ncfinfer.boolfun import TruthTable, point_to_index
 from ncfinfer.dynamics import (
     BooleanNetwork,
+    _analyze,
     attractors,
     phase_space,
     sample_ensemble,
@@ -121,6 +127,83 @@ def test_functional_graph_sanity_random_networks():
                     break
                 cur = int(succ[cur])
             assert cur in cycle_sets[comp]
+
+
+@st.composite
+def networks(draw):
+    n = draw(st.sampled_from(range(1, 11)))
+    regulators = [
+        draw(st.lists(st.integers(0, n - 1), unique=True, max_size=min(3, n)))
+        for _ in range(n)
+    ]
+    tables = [
+        TruthTable.from_int(len(regs), draw(st.integers(0, 2 ** 2 ** len(regs) - 1)))
+        for regs in regulators
+    ]
+    return BooleanNetwork(
+        WiringDiagram([f"n{i}" for i in range(n)], regulators), tables
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(networks())
+def test_phase_space_matches_the_oracle(net):
+    n = net.size
+    space = phase_space(net)
+    succ = space.successor.tolist()
+    for m in range(1 << n):
+        assert succ[m] == point_to_index(step(net, [(m >> i) & 1 for i in range(n)]))
+    component_of, cycles, sizes = oracles.functional_graph(succ)
+    assert space.component_of.tolist() == component_of
+    assert space.attractors == cycles
+    assert space.component_sizes == sizes
+
+
+def _shaped_maps(rng, n):
+    size = 1 << n
+    perm = list(range(size))
+    rng.shuffle(perm)
+    # one cycle through every state, in a random order
+    tour = [0] * size
+    for a, b in zip(perm, perm[1:] + perm[:1]):
+        tour[a] = b
+    yield perm
+    yield tour
+    yield list(range(size))  # identity: every state a fixed point
+    yield [max(m - 1, 0) for m in range(size)]  # a tail of 2^n - 1 steps
+    yield [rng.randrange(size) for _ in range(size)]
+
+
+def test_analyze_matches_the_oracle_on_shaped_maps():
+    # permutations end the doubling at once, the chain needs all n rounds,
+    # and the single 2^n-cycle needs the most pointer-jumping rounds
+    rng = random.Random(2024)
+    for n in range(1, 11):
+        for succ in _shaped_maps(rng, n):
+            space = _analyze(np.array(succ, dtype=np.uint32), n)
+            component_of, cycles, sizes = oracles.functional_graph(succ)
+            assert space.component_of.dtype == np.int32
+            assert space.component_of.tolist() == component_of
+            assert space.attractors == cycles
+            assert space.component_sizes == sizes
+
+
+def test_phase_space_memory_per_state():
+    # a shift register: node 0 is constant 0 and node i copies node i - 1,
+    # so every state reaches the all-zero fixed point within n steps
+    n = 20
+    wiring = WiringDiagram(
+        [f"n{i}" for i in range(n)], [[]] + [[i - 1] for i in range(1, n)]
+    )
+    net = BooleanNetwork(wiring, [TruthTable(0, [0])] + [IDENTITY1] * (n - 1))
+    tracemalloc.start()
+    try:
+        space = phase_space(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.attractors == ((0,),)
+    assert peak <= 32 << n
 
 
 def test_trajectory_component_size():
