@@ -17,11 +17,9 @@ import json
 import os
 import sys
 import tempfile
-from itertools import accumulate, chain
+from json.encoder import encode_basestring_ascii as _encode_str
 from math import prod
 from pathlib import Path
-
-import numpy as np
 
 from .boolfun import anf_string, tt_to_anf
 from .dynamics import (
@@ -44,7 +42,58 @@ def _read_input(path):
 
 
 def _json_report(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    The stdlib takes its pure-Python encoder whenever ``indent`` is set;
+    here strings go through the C string encoder and ints through
+    ``int.__repr__``.  Every other value (bools, None, floats, empty
+    containers, dicts with non-string keys, subclasses) is rendered by
+    ``json.dumps`` itself.
+    """
+    chunks = []
+    newlines, separators = ["\n"], [",\n"]
+
+    def emit(o, depth, head):
+        # head is the text before o on its line: it joins o's first chunk,
+        # so an element costs one chunk, as in the stdlib, and a list of
+        # only strings or only ints is one chunk in all
+        kind = type(o)
+        if kind is str:
+            chunks.append(head + _encode_str(o))
+            return
+        if kind is int:
+            chunks.append(head + int.__repr__(o))
+            return
+        if len(newlines) == depth + 1:
+            newlines.append(newlines[-1] + "  ")
+            separators.append(separators[-1] + "  ")
+        outer, inner, sep = newlines[depth], newlines[depth + 1], separators[depth + 1]
+        if (kind is list or kind is tuple) and o:
+            kinds = set(map(type, o))
+            if kinds == {str} or kinds == {int}:
+                body = sep.join(map(_encode_str if str in kinds else int.__repr__, o))
+                chunks.append(f"{head}[{inner}{body}{outer}]")
+                return
+            lead = head + "[" + inner
+            for item in o:
+                emit(item, depth + 1, lead)
+                lead = sep
+            chunks.append(outer + "]")
+        elif kind is dict and o and set(map(type, o)) == {str}:
+            lead = head + "{" + inner
+            for key in sorted(o):
+                emit(o[key], depth + 1, f"{lead}{_encode_str(key)}: ")
+                lead = sep
+            chunks.append(outer + "}")
+        else:
+            # no string inside a JSON text holds a raw newline, so indenting
+            # every line of the stdlib's own rendering places it at depth
+            dumped = json.dumps(o, indent=2, sort_keys=True)
+            chunks.append(head + dumped.replace("\n", outer))
+
+    emit(obj, 0, "")
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 def _write_outputs(out_dir, outputs):
@@ -58,16 +107,6 @@ def _write_outputs(out_dir, outputs):
             (Path(staging) / name).write_text(content)
         for name in outputs:
             os.replace(Path(staging) / name, out / name)
-
-
-def _attractor_bits(n, cycles):
-    """Each attractor as a list of its states in n '0'/'1' characters, node 0
-    first; every state is rendered in one numpy pass."""
-    ends = list(accumulate(map(len, cycles)))
-    states = np.fromiter(chain.from_iterable(cycles), dtype=np.int64, count=ends[-1])
-    chars = ((states[:, None] >> np.arange(n)) & 1).astype(np.uint8) + ord("0")
-    words = chars.view(f"S{n}")[:, 0].astype(str).tolist()
-    return [words[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def _load_course_args(args):
@@ -195,6 +234,10 @@ def cmd_dynamics(args):
     tables = parse_rules(rules_text, wiring)
     net = BooleanNetwork(wiring, tables)
     space = phase_space(net)
+    # phase_space has loaded numpy by now; a run whose wiring or rules fail
+    # to parse never imports it
+    from ._engine import _attractor_bits
+
     n = space.n
     payload = {
         "inputs": {"wiring_sha256": wiring_digest, "rules_sha256": rules_digest},

@@ -23,6 +23,10 @@ state when few states lie on cycles, about 290 MB at n = 24.  Every cycle
 state also costs the Python objects that report it: with every state a
 fixed point the peak is 169 bytes per state, about 2.8 GB at n = 24.
 
+These numpy steps live in the private module ``ncfinfer._engine``, which
+``phase_space`` and ``sample_ensemble`` import on their first call: this
+module imports no numpy, so inference without dynamics never loads it.
+
 Ensemble sampling draws each node's local function independently and
 uniformly from its candidate set; every sample uses its own
 deterministically derived generator, so results are bit-identical for a
@@ -31,8 +35,6 @@ given seed.
 
 import random
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from .boolfun import evaluate, point_to_index
 from .errors import CapacityError, ConfigurationError, InvariantViolation
@@ -104,8 +106,8 @@ class PhaseSpace:
     """
 
     n: int
-    successor: np.ndarray
-    component_of: np.ndarray
+    successor: "np.ndarray"
+    component_of: "np.ndarray"
     component_sizes: tuple
     attractors: tuple
 
@@ -126,100 +128,10 @@ def _network_size(wiring):
     return n
 
 
-def _local_index(n, regs):
-    """Every global state's index into a node's truth table.
-
-    Over the states 0 .. 2^n - 1, bit r repeats 2^r zeros and 2^r ones, so
-    each regulator's contribution is one period tiled 2^(n-r-1) times.
-    """
-    dtype = np.uint8 if len(regs) <= 8 else np.uint16
-    idx = np.zeros(1 << n, dtype=dtype)
-    for j, r in enumerate(regs):
-        period = np.zeros(2 << r, dtype=dtype)
-        period[1 << r:] = 1 << j
-        idx |= np.tile(period, 1 << (n - r - 1))
-    return idx
-
-
-def _successor_map(n, local_indices, tables):
-    succ = np.zeros(1 << n, dtype=np.uint32)
-    for i, (idx, table) in enumerate(zip(local_indices, tables)):
-        succ |= (np.array(table.values, dtype=np.uint32) << np.uint32(i))[idx]
-    return succ
-
-
-def _cycle_components(succ, cycle):
-    """Component of each cycle state, and all cycle states in report order.
-
-    ``cycle`` holds the sorted cycle states.  Components are numbered by
-    their smallest state, and each cycle is rotated to start there; the
-    second array lists the cycles one after another, cut at ``ends``.
-    """
-    nxt = np.searchsorted(cycle, succ[cycle])
-    # Pointer jumping with a running minimum: after r rounds low[i] is the
-    # least position among the w = 2^r states from i on, ahead[i] steps
-    # on.  Once a round lowers nothing, low[i] is the least position on
-    # i's cycle, its head, and ahead[i] the steps from i to the head.
-    low, ptr, w = np.arange(len(cycle)), nxt, 1
-    ahead = np.zeros(len(cycle), dtype=np.intp)
-    while True:
-        there = low[ptr]
-        lower = there < low
-        if not lower.any():
-            break
-        low = np.where(lower, there, low)
-        ahead = np.where(lower, ahead[ptr] + w, ahead)
-        ptr, w = ptr[ptr], 2 * w
-    comp = np.cumsum(ahead == 0)[low] - 1
-    lengths = np.bincount(comp)
-    ends = np.cumsum(lengths)
-    length = lengths[comp]
-    rotated = np.empty_like(cycle)
-    rotated[ends[comp] - length + -ahead % length] = cycle
-    return comp, rotated, ends
-
-
-def _analyze(succ, n):
-    size = 1 << n
-    # Doubling land = f^m, m = 1, 2, 4, ...: the images of f^m shrink as m
-    # grows, and once f^2m has the image of f^m, f^m permutes that image,
-    # which is then exactly the set of cycle states.  Im f^2m is f^m taken
-    # on Im f^m alone, and 2^n steps always suffice.
-    land = succ
-    image = np.zeros(size, dtype=bool)
-    image[land] = True
-    count = np.count_nonzero(image)
-    for _ in range(n):
-        next_image = np.zeros(size, dtype=bool)
-        next_image[land[image]] = True
-        count, last = np.count_nonzero(next_image), count
-        if count == last:
-            break
-        land, image = land[land], next_image
-    # every 2^n array is dropped once used: their peak is what bounds n
-    cycle = np.flatnonzero(image)
-    del image, next_image
-    comp, rotated, ends = _cycle_components(succ, cycle)
-    label = np.zeros(size, dtype=np.int32)
-    label[cycle] = comp
-    del cycle, comp
-    component_of = label[land]
-    del label, land
-    sizes = np.bincount(component_of, minlength=len(ends))
-    flat = tuple(rotated.tolist())
-    del rotated
-    ends = ends.tolist()
-    return PhaseSpace(
-        n=n,
-        successor=succ,
-        component_of=component_of,
-        component_sizes=tuple(sizes.tolist()),
-        attractors=tuple([flat[a:b] for a, b in zip([0, *ends], ends)]),
-    )
-
-
 def phase_space(network):
     """Successor map, components, and attractors of every global state."""
+    from ._engine import _analyze, _local_index, _successor_map
+
     n = _network_size(network.wiring)
     # each node's local index is dropped as soon as its bit is set
     indices = (_local_index(n, regs) for regs in network.wiring.regulators)
@@ -327,6 +239,8 @@ def sample_ensemble(result, samples, seed, mode):
         raise ValueError("sample count must be positive")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
+    from ._engine import _analyze, _local_index, _successor_map
+
     n = _network_size(result.wiring)
     # built once, reused by every sample
     indices = [_local_index(n, regs) for regs in result.wiring.regulators]

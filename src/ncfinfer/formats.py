@@ -80,8 +80,12 @@ def serialize_wiring(wiring):
 
 def parse_timecourse(text):
     """Time-course file: CSV, header of node names, one 0/1 row per step."""
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r]  # tolerate trailing blank lines
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [r for r in reader if r]  # tolerate trailing blank lines
+    except csv.Error as e:
+        raise ParseError(f"time course is not valid CSV: {e}",
+                         line=reader.line_num) from e
     if len(rows) < 2:
         raise ParseError("time course needs a header and at least one row")
     header = [h.strip() for h in rows[0]]

@@ -292,7 +292,13 @@ class NcfSet:
         """JSON-ready records: table integer, ANF, and one witness form."""
         records = []
         for t, anf in zip(self.members, self.anf_lines()):
-            w = self.witness(t)
+            # stored triples come from the layer structure and are read as
+            # they are; only a member without one searches for a form
+            w = self._witness.get(t.to_int())
+            if w is None:
+                form = self.witness(t)
+                if form is not None:
+                    w = (form.order, form.inputs, form.outputs)
             records.append(
                 {
                     "table": t.to_int(),
@@ -300,9 +306,9 @@ class NcfSet:
                     "witness_form": None
                     if w is None
                     else {
-                        "order": list(w.order),
-                        "inputs": list(w.inputs),
-                        "outputs": list(w.outputs),
+                        "order": list(w[0]),
+                        "inputs": list(w[1]),
+                        "outputs": list(w[2]),
                     },
                 }
             )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -165,23 +166,24 @@ def test_run_dynamics(tmp_path, capsys):
     assert payload["attractors"] == [["0", "1"]]
 
 
-def test_run_dynamics_with_trajectory(yeast_files, tmp_path):
-    wiring, course = yeast_files
-    rules = tmp_path / "rules.json"
+def _yeast_rules(result):
     # a fully specified fitting model: one fitting NCF per node, the forced
     # constant for Cln3
     from ncfinfer.boolfun import anf_string, tt_to_anf
-    from ncfinfer.datasets import load_yeast
-    from ncfinfer.infer import infer_all
 
-    res = infer_all(*load_yeast())
     anf_of = {
         rec.name: rec.ncfs.anf_lines()[0]
         if rec.ncfs.members
         else anf_string(tt_to_anf(rec.forced))
-        for rec in res.nodes
+        for rec in result.nodes
     }
-    rules.write_text(json.dumps({"rules": anf_of}))
+    return json.dumps({"rules": anf_of})
+
+
+def test_run_dynamics_with_trajectory(yeast_files, yeast_result, tmp_path):
+    wiring, course = yeast_files
+    rules = tmp_path / "rules.json"
+    rules.write_text(_yeast_rules(yeast_result))
     out = tmp_path / "out"
     assert run(["dynamics", "--wiring", wiring, "--rules", str(rules),
                 "--timecourse", course, "--out", str(out)]) == 0
@@ -321,9 +323,21 @@ rules_docs = st.fixed_dictionaries(
 )
 
 
+# short texts from the characters a time-course file is made of, so that
+# stray carriage returns, quotes and NULs land inside rows
+course_texts = (
+    st.text(st.sampled_from('AB01, "\r\n\x00'), max_size=16)
+    | st.text(max_size=16)
+)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(wiring=json_values | wiring_docs, rules=json_values | rules_docs)
-def test_parsers_raise_only_parse_errors(wiring, rules):
+@given(
+    wiring=json_values | wiring_docs,
+    rules=json_values | rules_docs,
+    course=course_texts,
+)
+def test_parsers_raise_only_parse_errors(wiring, rules, course):
     try:
         parse_wiring(json.dumps(wiring))
     except ParseError:
@@ -332,6 +346,23 @@ def test_parsers_raise_only_parse_errors(wiring, rules):
         parse_rules(json.dumps(rules), parse_wiring(WIRING_AB))
     except ParseError:
         pass
+    try:
+        parse_timecourse(course)
+    except ParseError:
+        pass
+
+
+def test_malformed_timecourse_is_a_parse_error(tmp_path, capsys):
+    (tmp_path / "w.json").write_text(WIRING_AB)
+    # a stray carriage return inside an unquoted row
+    (tmp_path / "c.csv").write_bytes(b"A,B\r0,1\n1,\r0\n")
+    out = tmp_path / "out"
+    code = run(["infer", "--wiring", str(tmp_path / "w.json"),
+                "--timecourse", str(tmp_path / "c.csv"), "--out", str(out)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ParseError"
+    assert not out.exists()
 
 
 def test_python_dash_m_runs_the_cli():
@@ -366,19 +397,41 @@ def test_failed_report_write_leaves_no_report(tmp_path, capsys, monkeypatch):
     assert not out.exists() or list(out.iterdir()) == []
 
 
-def test_load_yeast_does_not_import_cli():
+def _run_fresh_python(probe):
     src = str(Path(ncfinfer.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    probe = (
+    subprocess.run(
+        [sys.executable, "-c", probe], env=env, check=True, capture_output=True
+    )
+
+
+def test_load_yeast_does_not_import_cli():
+    _run_fresh_python(
         "import sys\n"
         "from ncfinfer.datasets import load_yeast\n"
         "load_yeast()\n"
         "assert 'ncfinfer.cli' not in sys.modules\n"
     )
-    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+
+
+def test_inference_commands_do_not_import_numpy():
+    # dynamics stays imported (its names are re-exported eagerly); only its
+    # numpy kernel waits for the first phase-space call
+    _run_fresh_python(
+        "import sys\n"
+        "from ncfinfer.cli import run\n"
+        "from ncfinfer.datasets import yeast_timecourse_path, yeast_wiring_path\n"
+        "io = ['--wiring', str(yeast_wiring_path()),\n"
+        "      '--timecourse', str(yeast_timecourse_path())]\n"
+        "for argv in (['infer', *io], ['check', *io, '--node', 'Sic1'],\n"
+        "             ['enumerate-ncfs', '3']):\n"
+        "    assert run(argv) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+        "    assert 'ncfinfer.dynamics' in sys.modules, argv\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -387,3 +440,75 @@ def test_load_yeast_does_not_import_cli():
 def test_cli_calls_the_format_parsers_by_module_name(name):
     # the benchmark times parsing by wrapping these names on the cli module
     assert getattr(cli, name) is getattr(formats, name)
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()  # inf, -inf and nan included
+    | st.text(max_size=6)  # any code point: non-ASCII and control characters
+    | st.text(st.sampled_from('a\u00e9\x00\x1f\x7f"\\/\u2028\U0001f600'), max_size=6)
+)
+json_payloads = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(st.text(max_size=4), max_size=4)  # leaf lists of one type
+    | st.lists(st.integers(), max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    | st.dictionaries(st.integers() | st.floats(), inner, max_size=3)
+    | st.dictionaries(st.booleans(), inner, max_size=2),
+    max_leaves=16,
+)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(json_payloads)
+def test_json_report_matches_the_stdlib(obj):
+    assert cli._json_report(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+YEAST_IO = ["--wiring", str(yeast_wiring_path()),
+            "--timecourse", str(yeast_timecourse_path())]
+
+
+# sha256 of each report as json.dumps(indent=2, sort_keys=True) renders it;
+# the report emitter must reproduce them byte for byte
+@pytest.mark.parametrize(
+    "argv, digests",
+    [
+        (["enumerate-ncfs", "5"], {
+            "ncfs_k5.json":
+                "abde12fa6ab8fed7de003a14fcb30c01b8b7cd8ff74e4152238a261f6ccb68c6",
+            "ncfs_k5.txt":
+                "2670c9b6da23818712b2bd2cae67f340cc10f6002c2d1a10c212928504b7894e",
+        }),
+        (["infer", *YEAST_IO], {
+            "infer.json":
+                "8bb18db1922b41ea3c67ab9fec087aeefc6eafdf73500971f79713d69942af67",
+            "infer.txt":
+                "db0c727edc12315b8f76f719cf8131bc3660e2a9140fdbe32f57275e289baa7a",
+        }),
+        (["sample", *YEAST_IO, "--mode", "ncf", "-m", "25", "--seed", "4"], {
+            "sample_ncf.json":
+                "583a410b1b6ec79b372c7206b84beadfbff5855bf5662f2125652fd7e287eff3",
+        }),
+        (["dynamics", "--rules", "RULES", *YEAST_IO], {
+            "dynamics.json":
+                "8c4f70ab464a04026965736e01bcf9fa0468f5f2fa3aeff6ded056fa39c5ddcf",
+        }),
+    ],
+    ids=["enumerate-ncfs-5", "infer-yeast", "sample-yeast", "dynamics-yeast"],
+)
+def test_reports_match_golden_digests(argv, digests, yeast_result, tmp_path, capsys):
+    rules = tmp_path / "rules.json"
+    rules.write_text(_yeast_rules(yeast_result))
+    argv = [str(rules) if a == "RULES" else a for a in argv]
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in digests
+    } == digests

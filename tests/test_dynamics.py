@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ncfinfer._engine import _analyze
 from ncfinfer.boolfun import TruthTable, point_to_index
 from ncfinfer.dynamics import (
     BooleanNetwork,
-    _analyze,
     attractors,
     phase_space,
     sample_ensemble,

@@ -11,6 +11,7 @@ from ncfinfer.boolfun import TruthTable, essential_vars, tt_to_anf
 from ncfinfer.errors import CapacityError
 from ncfinfer.ncf import (
     NcfForm,
+    NcfSet,
     completion,
     enumerate_ncfs,
     is_ncf,
@@ -203,6 +204,10 @@ def test_ncf_set_export():
     records = ncfs.json_records()
     assert [r["table"] for r in records] == [1, 2]
     assert all(r["witness_form"] is not None for r in records)
+    # stored witnesses and the search for members without one agree
+    stored = enumerate_ncfs(3)
+    searched = NcfSet(3, stored.members)
+    assert searched.json_records() == stored.json_records()
 
 
 def test_ncf_set_filtered_keeps_witnesses():
