@@ -30,17 +30,29 @@ module imports no numpy, so inference without dynamics never loads it.
 Ensemble sampling draws each node's local function independently and
 uniformly from its candidate set; every sample uses its own
 deterministically derived generator, so results are bit-identical for a
-given seed.
+given seed.  Samples are analyzed in chunks of ENSEMBLE_STATES states
+(32 samples of 11 nodes, one of 16): a chunk's phase spaces sit side by
+side in one functional graph, which a single doubling and
+pointer-jumping pass analyzes.
 """
 
 import random
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Any
 
 from .boolfun import evaluate, point_to_index
 from .errors import CapacityError, ConfigurationError, InvariantViolation
 from .modelspace import ModelSpace
 
+if TYPE_CHECKING:
+    from numpy import ndarray
+else:
+    ndarray = Any  # numpy loads with the first phase space, not with this module
+
 PHASE_SPACE_CAP = 24  # network size; 2^24 states at 17 bytes each is ~290 MB
+# states analyzed at once by sample_ensemble (32 samples of 11 nodes): a
+# chunk of small networks is never larger than one 16-node phase space
+ENSEMBLE_STATES = 1 << 16
 HISTOGRAM_BINS = 32
 
 __all__ = [
@@ -106,8 +118,8 @@ class PhaseSpace:
     """
 
     n: int
-    successor: "np.ndarray"
-    component_of: "np.ndarray"
+    successor: ndarray
+    component_of: ndarray
     component_sizes: tuple
     attractors: tuple
 
@@ -135,7 +147,8 @@ def phase_space(network):
     n = _network_size(network.wiring)
     # each node's local index is dropped as soon as its bit is set
     indices = (_local_index(n, regs) for regs in network.wiring.regulators)
-    return _analyze(_successor_map(n, indices, network.tables), n)
+    columns = ([table] for table in network.tables)
+    return _analyze(_successor_map(n, indices, columns), n)
 
 
 def attractors(space):
@@ -154,6 +167,13 @@ def _as_state_int(n, state):
     return point_to_index(state)
 
 
+def _state_ints(n, trajectory):
+    states = [_as_state_int(n, s) for s in trajectory]
+    if not states:
+        raise ValueError("empty trajectory")
+    return states
+
+
 def trajectory_component_size(space, trajectory):
     """Size of the component holding a trajectory's states.
 
@@ -161,9 +181,7 @@ def trajectory_component_size(space, trajectory):
     functions fit the transitions guarantees that, because consecutive
     trajectory states are then successor-linked.
     """
-    states = [_as_state_int(space.n, s) for s in trajectory]
-    if not states:
-        raise ValueError("empty trajectory")
+    states = _state_ints(space.n, trajectory)
     labels = {int(space.component_of[s]) for s in states}
     if len(labels) > 1:
         raise InvariantViolation(
@@ -232,37 +250,43 @@ def sample_ensemble(result, samples, seed, mode):
 
     Sample j uses the Mersenne Twister seeded with seed * 2**32 + j and
     draws node by node in wiring order, so output is a pure function of
-    (seed, mode, samples, result).  Samples run one after another.
-    The reference trajectory is the first time course.
+    (seed, mode, samples, result).  Samples are drawn in this order and
+    analyzed in chunks of up to ENSEMBLE_STATES states, one pass per
+    chunk; the chunking changes no draw and no result.  Every time course
+    must lie in one component of every sample, or ``InvariantViolation``
+    names the components it spans in the first such sample.  The
+    reference trajectory is the first time course.
     """
     if samples <= 0:
         raise ValueError("sample count must be positive")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    from ._engine import _analyze, _local_index, _successor_map
+    from ._engine import _ensemble_chunk, _local_index
 
     n = _network_size(result.wiring)
-    # built once, reused by every sample
+    # built once, reused by every chunk
     indices = [_local_index(n, regs) for regs in result.wiring.regulators]
     spaces = [ModelSpace.from_data(rec.data) for rec in result.nodes]
-    trajectories = result.trajectories()
+    # every course must stay inside one component; the first is the
+    # reference trajectory the statistics are about
+    courses = [_state_ints(n, t) for t in result.trajectories()]
 
-    rows = []
-    for j in range(samples):
-        rng = random.Random((seed << 32) + j)
-        tables = [
-            _candidate_draw(rec, ms, rng, mode)
-            for rec, ms in zip(result.nodes, spaces)
-        ]
-        space = _analyze(_successor_map(n, indices, tables), n)
-        # every course must stay inside one component; the first is the
-        # reference trajectory the statistics are about
-        sizes = [trajectory_component_size(space, t) for t in trajectories]
-        rows.append((space.component_count, sizes[0], max(space.component_sizes)))
+    chunk = max(1, ENSEMBLE_STATES >> n)
+    comp_counts, traj_sizes, largest = [], [], []
+    for start in range(0, samples, chunk):
+        drawn = []
+        for j in range(start, min(start + chunk, samples)):
+            rng = random.Random((seed << 32) + j)
+            drawn.append([
+                _candidate_draw(rec, ms, rng, mode)
+                for rec, ms in zip(result.nodes, spaces)
+            ])
+        counts, sizes, biggest = _ensemble_chunk(n, indices, drawn, courses)
+        comp_counts += counts
+        traj_sizes += sizes
+        largest += biggest
 
-    comp_counts = tuple(r[0] for r in rows)
-    traj_sizes = tuple(r[1] for r in rows)
-    not_largest = [size for size, r in zip(traj_sizes, rows) if size < r[2]]
+    not_largest = [size for size, big in zip(traj_sizes, largest) if size < big]
     width = max(1, (1 << n) // HISTOGRAM_BINS)
     hist = [0] * ((1 << n) // width)
     for size in traj_sizes:
@@ -279,6 +303,6 @@ def sample_ensemble(result, samples, seed, mode):
         ),
         bin_width=width,
         histogram=tuple(hist),
-        trajectory_sizes=traj_sizes,
-        component_counts=comp_counts,
+        trajectory_sizes=tuple(traj_sizes),
+        component_counts=tuple(comp_counts),
     )

@@ -84,8 +84,15 @@ def parse_timecourse(text):
     try:
         rows = [r for r in reader if r]  # tolerate trailing blank lines
     except csv.Error as e:
-        raise ParseError(f"time course is not valid CSV: {e}",
-                         line=reader.line_num) from e
+        # csv's text for a lone carriage return gives advice on Python file
+        # modes, which means nothing for text already decoded
+        reason = str(e)
+        if reason.startswith("new-line character"):
+            reason = "a carriage return is not followed by a newline"
+        raise ParseError(
+            f"time course line {reader.line_num} is not valid CSV: {reason}",
+            line=reader.line_num,
+        ) from e
     if len(rows) < 2:
         raise ParseError("time course needs a header and at least one row")
     header = [h.strip() for h in rows[0]]

@@ -362,6 +362,11 @@ def test_malformed_timecourse_is_a_parse_error(tmp_path, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ParseError"
+    assert err["error"]["line"] == 1
+    message = err["error"]["message"]
+    assert "line 1" in message and "carriage return" in message
+    # csv's advice about Python file modes means nothing to a CLI user
+    assert "universal-newline" not in message and "mode" not in message
     assert not out.exists()
 
 

@@ -1,5 +1,8 @@
+import itertools
 import random
 import tracemalloc
+import typing
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,16 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ncfinfer import _engine
+from ncfinfer import dynamics as dynamics_module
 from ncfinfer._engine import _analyze
 from ncfinfer.boolfun import TruthTable, point_to_index
 from ncfinfer.dynamics import (
     BooleanNetwork,
+    PhaseSpace,
     attractors,
     phase_space,
     sample_ensemble,
     step,
     trajectory_component_size,
 )
+from ncfinfer.modelspace import ModelSpace
+from strategies import consistent_instances
 from ncfinfer.errors import CapacityError, ConfigurationError, InvariantViolation
 from ncfinfer.infer import (
     InferenceResult,
@@ -285,6 +293,80 @@ def test_sample_ensemble_argument_validation(yeast_result):
         sample_ensemble(yeast_result, 1, -1, "ncf")
     with pytest.raises(ValueError):
         sample_ensemble(yeast_result, 1, 1, "bogus")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    consistent_instances(max_nodes=6, max_k=3, ncf_rules=True),
+    st.sampled_from(["ncf", "unrestricted"]),
+    st.integers(1, 40),
+    st.integers(0, 2**40),
+    st.sampled_from([None, 1, 3, 7]),
+)
+def test_batched_ensemble_matches_per_sample_phase_spaces(
+    instance, mode, samples, seed, chunk
+):
+    wiring, courses = instance
+    result = infer_all(wiring, courses)
+    n = len(wiring.nodes)
+    # by default every sample shares one chunk of 2^16 states; a smaller
+    # budget cuts the samples into chunks of `chunk`, the last one partial
+    budget = dynamics_module.ENSEMBLE_STATES if chunk is None else chunk << n
+    outputs, real = [], _engine._ensemble_chunk
+
+    def recorded(*args):
+        outputs.append(real(*args))
+        return outputs[-1]
+
+    with mock.patch.object(dynamics_module, "ENSEMBLE_STATES", budget), \
+            mock.patch.object(_engine, "_ensemble_chunk", recorded):
+        stats = sample_ensemble(result, samples, seed, mode)
+    assert len(outputs) == -(-samples // max(1, budget >> n))
+    counts, sizes, largest = (
+        [x for out in outputs for x in out[i]] for i in range(3)
+    )
+
+    spaces = [ModelSpace.from_data(rec.data) for rec in result.nodes]
+    reference = result.trajectories()[0]
+    for j in range(samples):
+        rng = random.Random((seed << 32) + j)
+        tables = [
+            dynamics_module._candidate_draw(rec, ms, rng, mode)
+            for rec, ms in zip(result.nodes, spaces)
+        ]
+        space = phase_space(BooleanNetwork(wiring, tables))
+        assert counts[j] == stats.component_counts[j] == space.component_count
+        size = trajectory_component_size(space, reference)
+        assert sizes[j] == stats.trajectory_sizes[j] == size
+        assert largest[j] == max(space.component_sizes)
+    not_largest = [s for s, big in zip(sizes, largest) if s < big]
+    assert stats.count_trajectory_not_in_largest == len(not_largest)
+
+
+def test_sample_ensemble_catches_a_course_split_across_components(monkeypatch):
+    # both nodes fit negation; from sample 3 on every node is drawn as the
+    # identity, whose fixed points split the course 00 -> 11
+    wiring = WiringDiagram(["A", "B"], [[0], [1]])
+    result = infer_all(wiring, TimeCourse(["A", "B"], [[0, 0], [1, 1]]))
+    draws = itertools.count()
+
+    def draw(rec, space, rng, mode):
+        return IDENTITY1 if next(draws) >= 3 * 2 else NEGATION1
+
+    monkeypatch.setattr(dynamics_module, "_candidate_draw", draw)
+    with pytest.raises(InvariantViolation) as caught:
+        sample_ensemble(result, 8, 0, "ncf")
+    # samples 0-2 have two components each, sample 3 four fixed points;
+    # the ids are sample 3's own, counted from its first component
+    assert caught.value.context == {"components": [0, 3]}
+
+
+def test_phase_space_type_hints_resolve():
+    hints = typing.get_type_hints(PhaseSpace)
+    assert list(hints) == [
+        "n", "successor", "component_of", "component_sizes", "attractors"
+    ]
+    assert hints["n"] is int
 
 
 def test_mode_contrast_directional(yeast_result):

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 import oracles
 from conftest import YEAST_NODES
+from strategies import consistent_instances
 from ncfinfer import infer as infer_module
 from ncfinfer.boolfun import TruthTable, essential_vars
 from ncfinfer.errors import CapacityError, InconsistentDataError
@@ -205,27 +207,38 @@ def test_near_misses_cln3(yeast):
     assert table.values == (0, 0) and essential == frozenset()
 
 
+_CASCADES = {s: oracles.all_cascade_ints(s) for s in range(1, 4)}
+
+
+def _assert_near_misses_match_brute_force(wiring, course):
+    for i in range(len(wiring.nodes)):
+        d = local_data(wiring, course, i)
+        k = d.arity
+        pairs = [
+            (sum(x << j for j, x in enumerate(point)), out)
+            for point, out in d.pairs
+        ]
+        expected = {}
+        for bits in oracles.fitting_table_ints(pairs, k):
+            ess = oracles.essential_var_ids(bits, k)
+            if len(ess) == k:
+                continue
+            if not ess or oracles.restrict(bits, k, ess) in _CASCADES[len(ess)]:
+                expected[bits] = frozenset(ess)
+        got = {t.to_int(): ess for t, ess in near_misses(wiring, course, i)}
+        assert got == expected
+
+
 def test_near_misses_against_brute_force():
-    cascades = {s: oracles.all_cascade_ints(s) for s in range(1, 4)}
     rng = random.Random(8086)
     for _ in range(20):
-        wiring, course = _random_instance(rng)
-        for i in range(len(wiring.nodes)):
-            d = local_data(wiring, course, i)
-            k = d.arity
-            pairs = [
-                (sum(x << j for j, x in enumerate(point)), out)
-                for point, out in d.pairs
-            ]
-            expected = {}
-            for bits in oracles.fitting_table_ints(pairs, k):
-                ess = oracles.essential_var_ids(bits, k)
-                if len(ess) == k:
-                    continue
-                if not ess or oracles.restrict(bits, k, ess) in cascades[len(ess)]:
-                    expected[bits] = frozenset(ess)
-            got = {t.to_int(): ess for t, ess in near_misses(wiring, course, i)}
-            assert got == expected
+        _assert_near_misses_match_brute_force(*_random_instance(rng))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(consistent_instances(max_nodes=5, max_k=4))
+def test_near_misses_against_brute_force_any_instance(instance):
+    _assert_near_misses_match_brute_force(*instance)
 
 
 def test_cross_check_catches_a_dropped_member(yeast, monkeypatch):

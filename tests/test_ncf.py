@@ -100,6 +100,18 @@ def test_criterion_equals_cascade_definition_random_k4():
         assert is_ncf(TruthTable.from_int(4, bits)) == (bits in oracle)
 
 
+def test_criterion_equals_enumeration_random_k5():
+    # random 32-value tables are almost never nested canalyzing, so members
+    # and members with one value flipped are checked as well
+    members = sorted(t.to_int() for t in enumerate_ncfs(5))
+    member_set = set(members)
+    rng = random.Random(2718)
+    for _ in range(1000):
+        member = rng.choice(members)
+        for bits in (rng.getrandbits(32), member, member ^ (1 << rng.randrange(32))):
+            assert is_ncf(TruthTable.from_int(5, bits)) == (bits in member_set)
+
+
 def test_per_order_soundness():
     # whatever cascade generated a table, the criterion accepts that order
     for k in (1, 2, 3):
