@@ -10,8 +10,6 @@ networks on one wiring is analyzed as one graph on S * 2^n states, sample
 s taking the states s * 2^n .. (s + 1) * 2^n - 1.
 """
 
-from itertools import accumulate, chain
-
 import numpy as np
 
 from .dynamics import PhaseSpace
@@ -35,16 +33,22 @@ def _gather(a, idx):
     return out
 
 
-def _mark(size, idx):
-    """A mask of ``size`` entries, true at ``idx``.
+def _scatter(out, idx, values):
+    """``out[idx] = values``, returning ``out``.
 
-    The index goes to the scatter as intp, 2^16 entries at a time: numpy
-    scatters a uint32 index about half as fast.
+    The index goes to numpy as intp, 2^16 entries at a time: numpy
+    scatters a uint32 index about half as fast, and a whole intp copy
+    would take 8 bytes per entry.
     """
-    mask = np.zeros(size, dtype=bool)
     for lo in range(0, len(idx), _BLOCK):
-        mask[idx[lo:lo + _BLOCK].astype(np.intp)] = True
-    return mask
+        part = values if np.ndim(values) == 0 else values[lo:lo + _BLOCK]
+        out[idx[lo:lo + _BLOCK].astype(np.intp)] = part
+    return out
+
+
+def _mark(size, idx):
+    """A mask of ``size`` entries, true at ``idx``."""
+    return _scatter(np.zeros(size, dtype=bool), idx, True)
 
 
 def _local_index(n, regs):
@@ -99,14 +103,16 @@ def _cycle_components(succ, cycle):
     ``cycle`` holds the sorted cycle states.  Components are numbered by
     their smallest state, and each cycle is rotated to start there; the
     second array lists the cycles one after another, cut at ``ends``.
+    Every array here is uint32, 4 bytes per cycle state.
     """
-    nxt = np.searchsorted(cycle, _gather(succ, cycle))
+    nxt = np.searchsorted(cycle, _gather(succ, cycle)).astype(np.uint32)
     # Pointer jumping with a running minimum: after r rounds low[i] is the
     # least position among the w = 2^r states from i on, ahead[i] steps
     # on.  Once a round lowers nothing, low[i] is the least position on
     # i's cycle, its head, and ahead[i] the steps from i to the head.
-    low, ptr, w = np.arange(len(cycle)), nxt, 1
-    ahead = np.zeros(len(cycle), dtype=np.intp)
+    low = np.arange(len(cycle), dtype=np.uint32)
+    ahead = np.zeros(len(cycle), dtype=np.uint32)
+    ptr, w = nxt, 1
     while True:
         there = _gather(low, ptr)
         lower = there < low
@@ -115,17 +121,29 @@ def _cycle_components(succ, cycle):
         low = np.where(lower, there, low)
         ahead = np.where(lower, _gather(ahead, ptr) + w, ahead)
         ptr, w = _gather(ptr, ptr), 2 * w
-    comp = _gather(np.cumsum(ahead == 0), low) - 1
-    lengths = np.bincount(comp)
-    ends = np.cumsum(lengths)
-    length = _gather(lengths, comp)
-    rotated = np.empty_like(cycle)
-    rotated[_gather(ends, comp) - length + -ahead % length] = cycle
-    return comp, rotated, ends
+    del there, lower, ptr
+    head = ahead == 0
+    number = np.cumsum(head, dtype=np.uint32)
+    number -= 1
+    comp = _gather(number, low)
+    del number, low
+    # a head's successor reaches the head one step short of a full turn
+    lengths = _gather(ahead, nxt[head])
+    lengths += 1
+    del nxt
+    ends = np.cumsum(lengths, dtype=np.uint32)
+    # a state a > 0 steps short of its head goes a places before its
+    # cycle's end, and the head itself to the cycle's start
+    at = _gather(ends, comp)
+    at -= ahead
+    del ahead
+    at[head] = np.subtract(ends, lengths, out=lengths)  # the cycles' starts
+    del head, lengths
+    return comp, _scatter(np.empty_like(cycle), at, cycle), ends
 
 
 def _components(succ, n):
-    """Each state's component, the component sizes, and the cycles.
+    """Each state's component, and the cycles.
 
     ``succ`` is any functional graph whose tails are shorter than 2^n
     steps, such as S phase spaces of 2^n states each side by side.  The
@@ -149,29 +167,29 @@ def _components(succ, n):
         land, image = _gather(land, land), next_image
     # every state-sized array is dropped once used: their peak is what
     # bounds n
-    cycle = np.flatnonzero(image)
+    cycle = np.flatnonzero(image).astype(np.uint32)
     del image, next_image
     comp, rotated, ends = _cycle_components(succ, cycle)
-    label = np.zeros(size, dtype=np.int32)
-    label[cycle] = comp
+    label = _scatter(np.zeros(size, dtype=np.int32), cycle, comp)
     del cycle, comp
-    component_of = _gather(label, land)
-    del label, land
-    sizes = np.bincount(component_of, minlength=len(ends))
-    return component_of, sizes, rotated, ends
+    return _gather(label, land), rotated, ends
 
 
 def _analyze(succ, n):
-    component_of, sizes, rotated, ends = _components(succ, n)
-    flat = tuple(rotated.tolist())
-    del rotated
-    ends = ends.tolist()
+    component_of, cycle_states, cycle_ends = _components(succ, n)
     return PhaseSpace(
         n=n,
         successor=succ,
         component_of=component_of,
-        component_sizes=tuple(sizes.tolist()),
-        attractors=tuple([flat[a:b] for a, b in zip([0, *ends], ends)]),
+        cycle_states=cycle_states,
+        cycle_ends=cycle_ends,
+    )
+
+
+def _component_sizes(space):
+    """The number of states in each component of ``space``, as a tuple."""
+    return tuple(
+        np.bincount(space.component_of, minlength=space.component_count).tolist()
     )
 
 
@@ -185,9 +203,10 @@ def _ensemble_chunk(n, local_indices, drawn, courses):
     network, in order, where a course spans components.
     """
     samples = len(drawn)
-    component_of, sizes, rotated, ends = _components(
+    component_of, rotated, ends = _components(
         _successor_map(n, local_indices, zip(*drawn), samples), n
     )
+    sizes = np.bincount(component_of, minlength=len(ends))
     # components are numbered by their smallest state, so sample by sample
     heads = _gather(rotated, ends - np.diff(ends, prepend=0))
     counts = np.bincount(heads >> n, minlength=samples)
@@ -216,11 +235,38 @@ def _ensemble_chunk(n, local_indices, drawn, courses):
     )
 
 
-def _attractor_bits(n, cycles):
-    """Each attractor as a list of its states in n '0'/'1' characters, node 0
-    first; every state is rendered in one numpy pass."""
-    ends = list(accumulate(map(len, cycles)))
-    states = np.fromiter(chain.from_iterable(cycles), dtype=np.int64, count=ends[-1])
-    chars = ((states[:, None] >> np.arange(n)) & 1).astype(np.uint8) + ord("0")
-    words = chars.view(f"S{n}")[:, 0].astype(str).tolist()
-    return [words[a:b] for a, b in zip([0, *ends], ends)]
+def _cycle_lengths(ends):
+    """The length of each cycle, as a list, from where the cycles end."""
+    return np.diff(ends, prepend=0).tolist()
+
+
+def _attractor_bits(n, states, ends, newline):
+    """The attractor list as JSON text, as ``json.dumps(indent=2)`` renders
+    it on a line that ``newline``, a newline and that line's indentation,
+    ends.
+
+    ``states`` lists the cycles one after another, cut at ``ends``; each
+    state is written as n '0'/'1' characters, node 0 first.  Row i of one
+    byte array holds state i's characters and the separator after it, to
+    the next state of its cycle or to the next cycle, and a mask cuts each
+    row to its length: every state is rendered in one numpy pass.
+    """
+    inner = newline + "  "
+    within = f'",{inner}  "'.encode()
+    between = f'"{inner}],{inner}[{inner}  "'.encode()
+    rows = np.empty((len(states), n + len(between)), dtype=np.uint8)
+    octets = states.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)
+    rows[:, :n] = np.unpackbits(octets, axis=1, count=n, bitorder="little")
+    rows[:, :n] += ord("0")
+    rows[:, n:] = np.frombuffer(within.ljust(len(between)), dtype=np.uint8)
+    keep = np.zeros(rows.shape, dtype=bool)
+    keep[:, :n + len(within)] = True
+    last = ends[:-1] - 1
+    rows[last, n:] = np.frombuffer(between, dtype=np.uint8)
+    keep[last, n:] = True
+    keep[-1, n:] = False
+    text = rows[keep]
+    del rows, keep
+    body = str(text.data, "ascii")
+    del text
+    return f'[{inner}[{inner}  "{body}"{inner}]{newline}]'

@@ -41,14 +41,25 @@ def _read_input(path):
     return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
 
 
-def _json_report(obj):
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+class _RawJSON:
+    """JSON text rendered ahead of the report, indented for the depth it
+    sits at; ``_json_chunks`` emits it verbatim."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
+
+
+def _json_chunks(obj):
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` as a list of
+    chunks, byte for byte once joined.
 
     The stdlib takes its pure-Python encoder whenever ``indent`` is set;
     here strings go through the C string encoder and ints through
-    ``int.__repr__``.  Every other value (bools, None, floats, empty
-    containers, dicts with non-string keys, subclasses) is rendered by
-    ``json.dumps`` itself.
+    ``int.__repr__``.  A ``_RawJSON`` value is emitted as its text.  Every
+    other value (bools, None, floats, empty containers, dicts with
+    non-string keys, subclasses) is rendered by ``json.dumps`` itself.
     """
     chunks = []
     newlines, separators = ["\n"], [",\n"]
@@ -63,6 +74,9 @@ def _json_report(obj):
             return
         if kind is int:
             chunks.append(head + int.__repr__(o))
+            return
+        if kind is _RawJSON:
+            chunks.extend((head, o.text))
             return
         if len(newlines) == depth + 1:
             newlines.append(newlines[-1] + "  ")
@@ -93,18 +107,25 @@ def _json_report(obj):
 
     emit(obj, 0, "")
     chunks.append("\n")
-    return "".join(chunks)
+    return chunks
+
+
+def _json_report(obj):
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte."""
+    return "".join(_json_chunks(obj))
 
 
 def _write_outputs(out_dir, outputs):
     # nothing is written unless the whole run succeeded, and a failed write
     # leaves no report behind: every file is staged in a temporary directory
-    # beside its final place and moved in only once all of them are written
+    # beside its final place and moved in only once all of them are written.
+    # A report given as chunks is written chunk by chunk, never joined.
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=".partial-", dir=out) as staging:
         for name, content in outputs.items():
-            (Path(staging) / name).write_text(content)
+            with (Path(staging) / name).open("w") as f:
+                f.writelines([content] if isinstance(content, str) else content)
         for name in outputs:
             os.replace(Path(staging) / name, out / name)
 
@@ -205,7 +226,7 @@ def cmd_infer(args):
     if args.out:
         _write_outputs(
             args.out,
-            {"infer.json": _json_report(payload), "infer.txt": table},
+            {"infer.json": _json_chunks(payload), "infer.txt": table},
         )
     return 0
 
@@ -219,12 +240,30 @@ def cmd_enumerate(args):
             args.out,
             {
                 f"ncfs_k{args.k}.txt": "\n".join(lines) + "\n",
-                f"ncfs_k{args.k}.json": _json_report(
+                f"ncfs_k{args.k}.json": _json_chunks(
                     {"arity": args.k, "count": len(ncfs), "ncfs": ncfs.json_records()}
                 ),
             },
         )
     return 0
+
+
+def _dynamics_payload(space, inputs):
+    # the attractors are rendered from the flat cycle arrays, never as a
+    # Python object per cycle
+    from ._engine import _attractor_bits
+
+    n = space.n
+    return {
+        "inputs": inputs,
+        "states": 1 << n,
+        "components": space.component_count,
+        "component_sizes": list(space.component_sizes),
+        # a key of the top-level object: its line is indented one level
+        "attractors": _RawJSON(
+            _attractor_bits(n, space.cycle_states, space.cycle_ends, "\n  ")
+        ),
+    }
 
 
 def cmd_dynamics(args):
@@ -236,16 +275,11 @@ def cmd_dynamics(args):
     space = phase_space(net)
     # phase_space has loaded numpy by now; a run whose wiring or rules fail
     # to parse never imports it
-    from ._engine import _attractor_bits
+    from ._engine import _cycle_lengths
 
-    n = space.n
-    payload = {
-        "inputs": {"wiring_sha256": wiring_digest, "rules_sha256": rules_digest},
-        "states": 1 << n,
-        "components": space.component_count,
-        "component_sizes": list(space.component_sizes),
-        "attractors": _attractor_bits(n, space.attractors),
-    }
+    payload = _dynamics_payload(
+        space, {"wiring_sha256": wiring_digest, "rules_sha256": rules_digest}
+    )
     if args.timecourse:
         courses, digests = _load_course_args(args)
         sizes = [
@@ -255,11 +289,11 @@ def cmd_dynamics(args):
         payload["inputs"]["timecourse_sha256"] = digests
         payload["trajectory_component_sizes"] = sizes
     sys.stdout.write(
-        f"{1 << n} states, {space.component_count} components, "
-        f"attractor lengths {list(map(len, space.attractors))}\n"
+        f"{1 << space.n} states, {space.component_count} components, "
+        f"attractor lengths {_cycle_lengths(space.cycle_ends)}\n"
     )
     if args.out:
-        _write_outputs(args.out, {"dynamics.json": _json_report(payload)})
+        _write_outputs(args.out, {"dynamics.json": _json_chunks(payload)})
     return 0
 
 
@@ -299,7 +333,7 @@ def cmd_sample(args):
         _write_outputs(
             args.out,
             {
-                f"sample_{args.mode}.json": _json_report(payload),
+                f"sample_{args.mode}.json": _json_chunks(payload),
                 f"sample_{args.mode}.csv": _histogram_csv(stats),
             },
         )

@@ -18,10 +18,15 @@ numpy arrays and no Python loop over states:
   cycle's smallest state, which numbers the components, and the steps from
   every cycle state to it, which rotate each attractor to start there.
 
-Measured with tracemalloc at n = 20, the analysis peaks at 17 bytes per
-state when few states lie on cycles, about 290 MB at n = 24.  Every cycle
-state also costs the Python objects that report it: with every state a
-fixed point the peak is 169 bytes per state, about 2.8 GB at n = 24.
+The cycles are kept as two flat uint32 arrays: every cycle state in
+report order, and where each cycle ends.  The tuples ``attractors`` and
+``component_sizes`` of a ``PhaseSpace`` are built on first access, and the
+``dynamics`` report is rendered from the arrays, so no Python object per
+cycle exists unless a caller asks for one.  Measured with tracemalloc at
+n = 20, the analysis peaks at 17 bytes per state when few states lie on
+cycles, about 290 MB at n = 24, and at 30 bytes per state when every state
+is a fixed point, about 500 MB at n = 24.  Building ``attractors`` then
+peaks at 136 bytes per cycle state and keeps 84.
 
 These numpy steps live in the private module ``ncfinfer._engine``, which
 ``phase_space`` and ``sample_ensemble`` import on their first call: this
@@ -38,6 +43,7 @@ pointer-jumping pass analyzes.
 
 import random
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
 from .boolfun import evaluate, point_to_index
@@ -49,7 +55,7 @@ if TYPE_CHECKING:
 else:
     ndarray = Any  # numpy loads with the first phase space, not with this module
 
-PHASE_SPACE_CAP = 24  # network size; 2^24 states at 17 bytes each is ~290 MB
+PHASE_SPACE_CAP = 24  # network size; 2^24 states at 17-30 bytes each is 0.3-0.5 GB
 # states analyzed at once by sample_ensemble (32 samples of 11 nodes): a
 # chunk of small networks is never larger than one 16-node phase space
 ENSEMBLE_STATES = 1 << 16
@@ -112,20 +118,35 @@ class PhaseSpace:
     """Complete synchronous dynamics of one network.
 
     successor[m] is the next state of state m; component_of[m] labels m's
-    weakly connected component; attractors[c] is component c's unique
-    cycle, rotated to start at its smallest state.  Components are
-    numbered by ascending smallest cycle state.
+    weakly connected component.  Component c's unique cycle, rotated to
+    start at its smallest state, is cycle_states[cycle_ends[c - 1]:
+    cycle_ends[c]] (from 0 for c = 0).  Components are numbered by
+    ascending smallest cycle state.  The tuples ``component_sizes`` and
+    ``attractors`` are built from these arrays on first access.
     """
 
     n: int
     successor: ndarray
     component_of: ndarray
-    component_sizes: tuple
-    attractors: tuple
+    cycle_states: ndarray
+    cycle_ends: ndarray
 
     @property
     def component_count(self):
-        return len(self.component_sizes)
+        return len(self.cycle_ends)
+
+    @cached_property
+    def component_sizes(self):
+        from ._engine import _component_sizes
+
+        return _component_sizes(self)
+
+    @cached_property
+    def attractors(self):
+        """The cycles as a tuple of state tuples, one per component."""
+        flat = tuple(self.cycle_states.tolist())
+        ends = self.cycle_ends.tolist()
+        return tuple([flat[a:b] for a, b in zip([0, *ends], ends)])
 
 
 def _network_size(wiring):
@@ -261,6 +282,13 @@ def sample_ensemble(result, samples, seed, mode):
         raise ValueError("sample count must be positive")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
+    covered = {rec.name for rec in result.nodes}
+    missing = [name for name in result.wiring.nodes if name not in covered]
+    if missing:
+        raise ConfigurationError(
+            f"inference covers only some nodes; missing {missing}",
+            missing=missing,
+        )
     from ._engine import _ensemble_chunk, _local_index
 
     n = _network_size(result.wiring)

@@ -4,13 +4,17 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncfinfer
-from ncfinfer import cli, formats
+import oracles
+from ncfinfer import _engine, cli, formats
+from ncfinfer._engine import _analyze, _attractor_bits, _cycle_lengths
 from ncfinfer.cli import run
 from ncfinfer.datasets import yeast_timecourse_path, yeast_wiring_path
 from ncfinfer.errors import ParseError
@@ -164,6 +168,89 @@ def test_run_dynamics(tmp_path, capsys):
     payload = json.loads((out / "dynamics.json").read_text())
     assert payload["components"] == 1
     assert payload["attractors"] == [["0", "1"]]
+
+
+@st.composite
+def functional_graphs(draw):
+    """A map on 2^n states (n <= 8) with cycles of mixed lengths.
+
+    The cycles run through the first states of a random order; every other
+    state maps to a state before it in that order, so it reaches a cycle
+    and closes none of its own.
+    """
+    n = draw(st.integers(1, 8))
+    size = 1 << n
+    lengths = draw(st.lists(st.integers(1, 9), min_size=1, max_size=12))
+    rng = draw(st.randoms(use_true_random=False))
+    order = list(range(size))
+    rng.shuffle(order)
+    succ, at = [None] * size, 0
+    for length in lengths:
+        cycle = order[at:at + length]
+        if not cycle:
+            break
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            succ[a] = b
+        at += len(cycle)
+    for j in range(at, size):
+        succ[order[j]] = order[rng.randrange(j)]
+    return n, succ
+
+
+def _state_word(n, state):
+    return "".join(str((state >> i) & 1) for i in range(n))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(functional_graphs(), st.sampled_from([None, 1, 5]))
+def test_dynamics_report_matches_the_oracle(graph, block):
+    n, succ = graph
+    # a small block runs the kernel's gathers and scatters over several
+    # blocks
+    with mock.patch.object(_engine, "_BLOCK", block or _engine._BLOCK):
+        space = _analyze(np.array(succ, dtype=np.uint32), n)
+        inputs = {"wiring_sha256": "w", "rules_sha256": "r"}
+        report = cli._json_report(cli._dynamics_payload(space, inputs))
+        alone = _attractor_bits(n, space.cycle_states, space.cycle_ends, "\n")
+    _, cycles, sizes = oracles.functional_graph(succ)
+    expected = {
+        "inputs": inputs,
+        "states": 1 << n,
+        "components": len(cycles),
+        "component_sizes": list(sizes),
+        "attractors": [[_state_word(n, s) for s in cycle] for cycle in cycles],
+    }
+    assert report == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert _cycle_lengths(space.cycle_ends) == [len(c) for c in cycles]
+    # at depth 0 the attractor list alone is the stdlib's whole rendering
+    assert alone == json.dumps(expected["attractors"], indent=2)
+    assert "attractors" not in vars(space)  # the cached tuples stay unbuilt
+
+
+def test_dynamics_leaves_the_attractor_tuples_unbuilt(
+    yeast_files, yeast_result, tmp_path, capsys, monkeypatch
+):
+    wiring, course = yeast_files
+    rules = tmp_path / "rules.json"
+    rules.write_text(_yeast_rules(yeast_result))
+    real, spaces = cli.phase_space, []
+
+    def recorded(net):
+        spaces.append(real(net))
+        return spaces[-1]
+
+    monkeypatch.setattr(cli, "phase_space", recorded)
+    assert run(["dynamics", "--wiring", wiring, "--rules", str(rules),
+                "--timecourse", course, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out == (
+        "2048 states, 4 components, attractor lengths [1, 1, 1, 2]\n"
+    )
+    (space,) = spaces
+    assert "attractors" not in vars(space)
+    payload = json.loads((tmp_path / "out" / "dynamics.json").read_text())
+    assert [len(c) for c in payload["attractors"]] == [1, 1, 1, 2]
+    # the property still builds the tuples on request, matching the report
+    assert [len(c) for c in space.attractors] == [1, 1, 1, 2]
 
 
 def _yeast_rules(result):
@@ -383,16 +470,17 @@ def test_python_dash_m_runs_the_cli():
 
 def test_failed_report_write_leaves_no_report(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
-    real_write_text = Path.write_text
+    real_open = Path.open
     written = []
 
-    def write_text(self, *args, **kwargs):
-        written.append(self.name)
-        if len(written) == 2:
-            raise OSError("no space left on device")
-        return real_write_text(self, *args, **kwargs)
+    def open_(self, mode="r", *args, **kwargs):
+        if "w" in mode:
+            written.append(self.name)
+            if len(written) == 2:
+                raise OSError("no space left on device")
+        return real_open(self, mode, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "write_text", write_text)
+    monkeypatch.setattr(Path, "open", open_)
     code = run(["enumerate-ncfs", "2", "--out", str(out)])
     monkeypatch.undo()
     assert code == 1

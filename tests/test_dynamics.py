@@ -214,6 +214,21 @@ def test_phase_space_memory_per_state():
     assert peak <= 32 << n
 
 
+def test_phase_space_memory_per_state_all_fixed_points():
+    # the identity network: every one of the 2^n states is a fixed point,
+    # so every state is a cycle state and a component of its own
+    n = 20
+    net = _self_loop_net(n, IDENTITY1)
+    tracemalloc.start()
+    try:
+        space = phase_space(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.component_count == 1 << n
+    assert peak <= 32 << n
+
+
 def test_trajectory_component_size():
     space = phase_space(_self_loop_net(3, ZERO1))
     assert trajectory_component_size(space, [(0, 0, 0)]) == 8
@@ -284,6 +299,20 @@ def test_sample_ensemble_configuration_error():
         sample_ensemble(res, 2, 0, "ncf")
     # unrestricted mode has no such constraint
     assert sample_ensemble(res, 2, 0, "unrestricted").sample_count == 2
+
+
+def test_sample_ensemble_rejects_a_partial_inference(yeast, monkeypatch):
+    wiring, course = yeast
+    partial = infer_all(wiring, course, only="Sic1")
+    draws = []
+    monkeypatch.setattr(
+        dynamics_module, "_candidate_draw", lambda *args: draws.append(args)
+    )
+    with pytest.raises(ConfigurationError) as caught:
+        sample_ensemble(partial, 3, 0, "ncf")
+    missing = [name for name in wiring.nodes if name != "Sic1"]
+    assert caught.value.context == {"missing": missing}
+    assert draws == []
 
 
 def test_sample_ensemble_argument_validation(yeast_result):
@@ -364,7 +393,7 @@ def test_sample_ensemble_catches_a_course_split_across_components(monkeypatch):
 def test_phase_space_type_hints_resolve():
     hints = typing.get_type_hints(PhaseSpace)
     assert list(hints) == [
-        "n", "successor", "component_of", "component_sizes", "attractors"
+        "n", "successor", "component_of", "cycle_states", "cycle_ends"
     ]
     assert hints["n"] is int
 
