@@ -66,32 +66,33 @@ def _local_index(n, regs):
     return idx
 
 
-def _table_rows(tables, shift):
-    """Truth tables of one arity as rows of 2^k values, each shifted left.
-
-    The packed integers are unpacked by numpy, not one value at a time.
-    """
-    k = tables[0].arity
-    width = ((1 << k) + 7) >> 3  # bytes per table
+def _table_words(tables):
+    """Truth tables of one arity as rows of 32-bit words, entry j at bit
+    j % 32 of word j // 32: one word per table up to arity 5."""
+    width = max(4, (1 << tables[0].arity) >> 3)  # bytes per table
     packed = b"".join(table.to_int().to_bytes(width, "little") for table in tables)
-    bits = np.unpackbits(
-        np.frombuffer(packed, dtype=np.uint8).reshape(len(tables), width),
-        axis=1,
-        count=1 << k,
-        bitorder="little",
-    )
-    return bits.astype(np.uint32) << np.uint32(shift)
+    return np.frombuffer(packed, dtype="<u4").reshape(len(tables), -1)
 
 
 def _successor_map(n, local_indices, columns, networks=1):
     """The successor map of several networks on one wiring, as one array.
 
     ``columns[i]`` holds node i's truth table in each network; network s's
-    states are offset by s * 2^n.
+    states are offset by s * 2^n.  Node i's bit is its table word shifted
+    right by the local index, masked to one bit and shifted left by i; a
+    table of more than 32 entries first selects each state's word.
     """
     succ = np.zeros((networks, 1 << n), dtype=np.uint32)
+    bit = np.empty_like(succ)
     for i, (idx, tables) in enumerate(zip(local_indices, columns)):
-        succ |= _gather(_table_rows(tables, i), idx)
+        words = _table_words(tables)
+        if words.shape[1] > 1:
+            words = _gather(words, idx >> 5)
+            idx = idx & 31
+        np.right_shift(words, idx, out=bit)
+        bit &= 1
+        bit <<= i
+        succ |= bit
     if networks > 1:
         succ += np.arange(networks, dtype=np.uint32)[:, None] << np.uint32(n)
     return succ.ravel()

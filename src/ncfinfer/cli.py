@@ -24,6 +24,7 @@ from pathlib import Path
 from .boolfun import anf_string, tt_to_anf
 from .dynamics import (
     BooleanNetwork,
+    _network_size,
     phase_space,
     sample_ensemble,
     trajectory_component_size,
@@ -272,22 +273,21 @@ def cmd_dynamics(args):
     rules_text, rules_digest = _read_input(args.rules)
     tables = parse_rules(rules_text, wiring)
     net = BooleanNetwork(wiring, tables)
+    courses, digests = _load_course_args(args)
+    courses = [states_as_ints(wiring, c) for c in courses]
     space = phase_space(net)
-    # phase_space has loaded numpy by now; a run whose wiring or rules fail
-    # to parse never imports it
+    # phase_space has loaded numpy by now; a run whose wiring, rules or
+    # time courses fail to parse never imports it
     from ._engine import _cycle_lengths
 
     payload = _dynamics_payload(
         space, {"wiring_sha256": wiring_digest, "rules_sha256": rules_digest}
     )
-    if args.timecourse:
-        courses, digests = _load_course_args(args)
-        sizes = [
-            trajectory_component_size(space, states_as_ints(wiring, c))
-            for c in courses
-        ]
+    if courses:
         payload["inputs"]["timecourse_sha256"] = digests
-        payload["trajectory_component_sizes"] = sizes
+        payload["trajectory_component_sizes"] = [
+            trajectory_component_size(space, c) for c in courses
+        ]
     sys.stdout.write(
         f"{1 << space.n} states, {space.component_count} components, "
         f"attractor lengths {_cycle_lengths(space.cycle_ends)}\n"
@@ -309,6 +309,7 @@ def _histogram_csv(stats):
 def cmd_sample(args):
     wiring_text, wiring_digest = _read_input(args.wiring)
     wiring = parse_wiring(wiring_text)
+    _network_size(wiring)  # fail before inference, not after it
     courses, course_digests = _load_course_args(args)
     result = infer_all(wiring, courses)
     stats = sample_ensemble(result, args.samples, args.seed, args.mode)
@@ -416,6 +417,9 @@ def build_parser():
 
 
 def run(argv=None):
+    # numpy's BLAS is never called, so its thread pool would only cost
+    # start-up time; a value the user sets is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

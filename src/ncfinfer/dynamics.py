@@ -9,8 +9,11 @@ that cycle.
 Phase spaces are computed fully (capped at n <= 24 nodes) with flat
 numpy arrays and no Python loop over states:
 
-* the successor map is built node by node from lookup tables, each node's
-  table index tiled from the bit patterns of its regulators;
+* the successor map is built node by node by a shift select: each node's
+  truth table packed into a 32-bit word (a word per 32 entries above
+  arity 5) is shifted right by every state's index into the table, tiled
+  from the bit patterns of its regulators, and the low bit is moved to
+  the node's place;
 * doubling land = f^m, m = 1, 2, 4, ..., lands every state on its
   attractor cycle, and stops once the image of f^m stops shrinking, when
   that image is exactly the set of cycle states;

@@ -527,6 +527,80 @@ def test_inference_commands_do_not_import_numpy():
     )
 
 
+def test_dynamics_checks_its_time_courses_before_the_phase_space(tmp_path):
+    # a malformed course fails before the 2^n analysis, which loads numpy
+    (tmp_path / "w.json").write_text('{"nodes": ["A"], "regulators": {"A": ["A"]}}')
+    (tmp_path / "r.json").write_text('{"rules": {"A": "1 + x1"}}')
+    (tmp_path / "c.csv").write_bytes(b"A\r0\n1\n")
+    out = tmp_path / "out"
+    argv = ["dynamics", "--wiring", str(tmp_path / "w.json"),
+            "--rules", str(tmp_path / "r.json"),
+            "--timecourse", str(tmp_path / "c.csv"), "--out", str(out)]
+    _run_fresh_python(
+        "import contextlib, io, json, sys\n"
+        "from ncfinfer.cli import run\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        f"    assert run({argv!r}) == 1\n"
+        "assert json.loads(err.getvalue())['error']['type'] == 'ParseError'\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    assert not out.exists()
+
+
+def test_sample_checks_the_node_cap_before_inference(tmp_path, capsys, monkeypatch):
+    names = [f"n{i}" for i in range(25)]
+    (tmp_path / "w.json").write_text(
+        json.dumps({"nodes": names, "regulators": {x: [x] for x in names}})
+    )
+    (tmp_path / "c.csv").write_text(
+        ",".join(names) + "\n" + ",".join("0" * 25) + "\n" + ",".join("0" * 25) + "\n"
+    )
+
+    def infer_all(*args, **kwargs):
+        raise AssertionError("inference ran before the node cap was checked")
+
+    monkeypatch.setattr(cli, "infer_all", infer_all)
+    code = run(["sample", "--wiring", str(tmp_path / "w.json"),
+                "--timecourse", str(tmp_path / "c.csv"),
+                "--mode", "ncf", "-m", "5", "--seed", "1"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "CapacityError"
+    assert err["error"]["nodes"] == 25
+
+
+def test_cli_runs_keep_openblas_to_one_thread():
+    # numpy's BLAS is never called: without a user setting, a run that
+    # loads numpy starts no OpenBLAS worker threads
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("needs /proc to count threads")
+    src = str(Path(ncfinfer.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = (
+        "import os, sys\n"
+        "from ncfinfer.cli import run\n"
+        "from ncfinfer.datasets import yeast_timecourse_path, yeast_wiring_path\n"
+        "assert run(['sample', '--wiring', str(yeast_wiring_path()),\n"
+        "            '--timecourse', str(yeast_timecourse_path()),\n"
+        "            '--mode', 'ncf', '-m', '5', '--seed', '1']) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, check=True, capture_output=True,
+        text=True,
+    )
+    assert done.stdout.split()[-2:] == ["1", "1"]
+
+
+def test_cli_runs_keep_a_user_openblas_setting(monkeypatch, capsys):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert run(["enumerate-ncfs", "1"]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+
 @pytest.mark.parametrize(
     "name", ["parse_wiring", "parse_timecourse", "parse_rules"]
 )

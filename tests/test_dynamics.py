@@ -167,6 +167,39 @@ def test_phase_space_matches_the_oracle(net):
     assert space.component_sizes == sizes
 
 
+def test_successor_map_matches_step_on_wide_tables():
+    # arities 0..10: one-word tables (k <= 5), multi-word tables (k >= 6)
+    # and the uint16 local index (k >= 9), several networks side by side
+    rng = random.Random(909)
+    for k in range(11):
+        n = rng.randint(max(k, 1), 11)
+        regulators = [rng.sample(range(n), k)] + [
+            rng.sample(range(n), rng.randint(0, min(n, 10))) for _ in range(n - 1)
+        ]
+        wiring = WiringDiagram(
+            [f"n{i}" for i in range(n)], regulators, allow_big=True
+        )
+        nets = [
+            BooleanNetwork(wiring, [
+                TruthTable.from_int(
+                    len(regs), rng.getrandbits(1 << len(regs)), allow_big=True
+                )
+                for regs in regulators
+            ])
+            for _ in range(3)
+        ]
+        succ = _engine._successor_map(
+            n,
+            [_engine._local_index(n, regs) for regs in regulators],
+            [[net.tables[i] for net in nets] for i in range(n)],
+            len(nets),
+        ).tolist()
+        for s, net in enumerate(nets):
+            for m in range(1 << n):
+                state = [(m >> i) & 1 for i in range(n)]
+                assert succ[(s << n) + m] == (s << n) + point_to_index(step(net, state))
+
+
 def _shaped_maps(rng, n):
     size = 1 << n
     perm = list(range(size))
