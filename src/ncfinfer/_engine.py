@@ -7,7 +7,10 @@ never pay for the numpy import.
 
 The analysis works on any functional graph, so a chunk of S sampled
 networks on one wiring is analyzed as one graph on S * 2^n states, sample
-s taking the states s * 2^n .. (s + 1) * 2^n - 1.
+s taking the states s * 2^n .. (s + 1) * 2^n - 1.  ``_components`` gets
+only the chunk's image, the states with a predecessor, renumbered by
+their position in it: the same routine ``phase_space`` runs, on a graph
+a fifth to a fiftieth of the size.
 """
 
 import numpy as np
@@ -204,19 +207,45 @@ def _ensemble_chunk(n, local_indices, drawn, courses):
     network, in order, where a course spans components.
     """
     samples = len(drawn)
-    component_of, rotated, ends = _components(
-        _successor_map(n, local_indices, zip(*drawn), samples), n
-    )
-    sizes = np.bincount(component_of, minlength=len(ends))
-    # components are numbered by their smallest state, so sample by sample
-    heads = _gather(rotated, ends - np.diff(ends, prepend=0))
-    counts = np.bincount(heads >> n, minlength=samples)
-    first = np.cumsum(counts) - counts
-    offsets = np.arange(samples)[:, None] << n
-    labels = [
-        _gather(component_of, (offsets + course).ravel()).reshape(samples, -1)
-        for course in courses
+    succ = _successor_map(n, local_indices, zip(*drawn), samples)
+    # Most states have no predecessor, so the chunk is analyzed on the
+    # image of f alone: it is closed under f and holds every cycle, and a
+    # state's component is its successor's.  Positions in the sorted image
+    # keep the order of the states, and with it the component numbering.
+    # numpy counts an intp array 2-3 times as fast as a uint32 one.
+    indeg = np.bincount(succ.astype(np.intp), minlength=len(succ))
+    image = np.flatnonzero(indeg != 0).astype(np.uint32)
+    weight = _gather(indeg, image).astype(np.uint32)
+    del indeg
+    # each image state's position: a scatter and a gather, where a binary
+    # search costs 8 times as much on a yeast chunk
+    position = np.empty(len(succ), dtype=np.uint32)
+    _scatter(position, image, np.arange(len(image), dtype=np.uint32))
+    offsets = np.arange(samples, dtype=np.uint32)[:, None] << np.uint32(n)
+    course_at = [
+        _gather(position, _gather(succ, (offsets + np.uint32(c)).ravel()))
+        for c in courses
     ]
+    sub = _gather(position, _gather(succ, image))
+    bounds = np.searchsorted(image, offsets.ravel())  # where each sample starts
+    del succ, position, image
+    component_of, rotated, ends = _components(sub, n)
+    del sub
+    # components are numbered by their smallest state, so sample by sample:
+    # sample s's first component is the first whose head lies in it
+    heads = _gather(rotated, ends - np.diff(ends, prepend=0))
+    del rotated, ends
+    first = np.searchsorted(heads, bounds)
+    counts = np.diff(first, append=len(heads))
+    del heads
+    labels = [
+        _gather(component_of, at).reshape(samples, -1) for at in course_at
+    ]
+    # a component's size is the in-degree summed over its image states,
+    # exact in float64
+    sizes = np.bincount(component_of.astype(np.intp), weights=weight)
+    del component_of, weight
+    sizes = sizes.astype(np.intp)
     split = np.flatnonzero(
         np.any([lab.min(axis=1) != lab.max(axis=1) for lab in labels], axis=0)
     )

@@ -40,8 +40,18 @@ uniformly from its candidate set; every sample uses its own
 deterministically derived generator, so results are bit-identical for a
 given seed.  Samples are analyzed in chunks of ENSEMBLE_STATES states
 (32 samples of 11 nodes, one of 16): a chunk's phase spaces sit side by
-side in one functional graph, which a single doubling and
-pointer-jumping pass analyzes.
+side in one functional graph.  Most of its states have no predecessor,
+so after one in-degree count over every state a single doubling and
+pointer-jumping pass runs on the image of f alone.  The image is closed
+under f and holds every cycle; a state's component is its successor's,
+and a component's size is the in-degree summed over its image states.
+On the benchmark's seed-1 inputs the image holds a median 2.5 % of a
+sample's states on a random 16-node NCF network (6.7 % when the functions
+are unrestricted) and 12 % of a 32-sample yeast chunk (21 % unrestricted).
+Per state, ``sample_ensemble`` keeps one byte per node of local indices,
+and the chunk analysis adds at most 34 bytes, when every state is a fixed
+point: the identity network at n = 20 peaks at 54 bytes per state under
+tracemalloc, about 1 GB at n = 24.
 """
 
 import random

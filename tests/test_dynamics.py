@@ -262,6 +262,25 @@ def test_phase_space_memory_per_state_all_fixed_points():
     assert peak <= 32 << n
 
 
+def test_sample_ensemble_memory_per_state_all_fixed_points():
+    # the identity network again: the image of f is every state, so the
+    # ensemble analysis gains nothing from it and holds the most; the n
+    # bytes per state are the kept uint8 local indices, one per node
+    n = 20
+    wiring = WiringDiagram([f"n{i}" for i in range(n)], [[i] for i in range(n)])
+    state = [i % 2 for i in range(n)]
+    result = infer_all(wiring, TimeCourse(wiring.nodes, [state, state]))
+    tracemalloc.start()
+    try:
+        stats = sample_ensemble(result, 1, 0, "ncf")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.component_counts == (1 << n,)
+    assert stats.trajectory_sizes == (1,)
+    assert peak <= (n + 48) << n
+
+
 def test_trajectory_component_size():
     space = phase_space(_self_loop_net(3, ZERO1))
     assert trajectory_component_size(space, [(0, 0, 0)]) == 8
@@ -403,6 +422,88 @@ def test_batched_ensemble_matches_per_sample_phase_spaces(
         assert largest[j] == max(space.component_sizes)
     not_largest = [s for s, big in zip(sizes, largest) if s < big]
     assert stats.count_trajectory_not_in_largest == len(not_largest)
+
+
+def _ring_networks(n, rng):
+    """Networks on the ring wiring i <- (i, i + 1): permutations (every
+    state in the image of f), constants (one state of in-degree 2^n), then
+    ordinary random ones."""
+    self_, not_self, nxt = (
+        TruthTable(2, v) for v in ([0, 1, 0, 1], [1, 0, 1, 0], [0, 0, 1, 1])
+    )
+    zero, one = TruthTable(2, [0] * 4), TruthTable(2, [1] * 4)
+    yield from ([self_] * n, [not_self] * n, [nxt] * n, [zero] * n, [one] * n)
+    for _ in range(4):
+        yield [TruthTable(2, [rng.randrange(2) for _ in range(4)]) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("chunk", [None, 1, 2, 3])
+def test_ensemble_chunks_of_permutations_and_constants_match_the_oracle(
+    n, chunk, monkeypatch
+):
+    # by default one chunk mixes every kind; a budget of 1 gives chunks of
+    # one permutation or one constant network, 3 a chunk of permutations
+    # and one of constants beside an ordinary network
+    wiring = WiringDiagram(
+        [f"n{i}" for i in range(n)], [[i, (i + 1) % n] for i in range(n)]
+    )
+    state = [1] + [0] * (n - 1)
+    result = infer_all(wiring, TimeCourse(wiring.nodes, [state, state]))
+    networks = list(_ring_networks(n, random.Random(n)))
+    draws = iter([table for tables in networks for table in tables])
+    monkeypatch.setattr(
+        dynamics_module, "_candidate_draw", lambda *args: next(draws)
+    )
+    budget = dynamics_module.ENSEMBLE_STATES if chunk is None else chunk << n
+    outputs, real = [], _engine._ensemble_chunk
+
+    def recorded(*args):
+        outputs.append(real(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(dynamics_module, "ENSEMBLE_STATES", budget)
+    monkeypatch.setattr(_engine, "_ensemble_chunk", recorded)
+    stats = sample_ensemble(result, len(networks), 0, "ncf")
+    assert len(outputs) == -(-len(networks) // max(1, budget >> n))
+    counts, sizes, largest = (
+        [x for out in outputs for x in out[i]] for i in range(3)
+    )
+    for j, tables in enumerate(networks):
+        net = BooleanNetwork(wiring, tables)
+        succ = [
+            point_to_index(step(net, [(m >> i) & 1 for i in range(n)]))
+            for m in range(1 << n)
+        ]
+        component_of, _, oracle_sizes = oracles.functional_graph(succ)
+        assert counts[j] == stats.component_counts[j] == len(oracle_sizes)
+        size = oracle_sizes[component_of[point_to_index(state)]]
+        assert sizes[j] == stats.trajectory_sizes[j] == size
+        assert largest[j] == max(oracle_sizes)
+
+
+def test_ensemble_chunks_analyze_only_the_image(yeast_result):
+    # each chunk's graph handed to _components must be the image of its
+    # successor map, never the whole chunk
+    distinct, analyzed = [], []
+    real_map, real_components = _engine._successor_map, _engine._components
+
+    def successor_map(*args):
+        succ = real_map(*args)
+        distinct.append(len(np.unique(succ)))
+        return succ
+
+    def components(succ, n):
+        analyzed.append(len(succ))
+        return real_components(succ, n)
+
+    with mock.patch.object(_engine, "_successor_map", successor_map), \
+            mock.patch.object(_engine, "_components", components):
+        for mode in ("ncf", "unrestricted"):
+            sample_ensemble(yeast_result, 100, 4, mode)
+    assert len(analyzed) == 2 * 4  # 100 samples of 11 nodes: 4 chunks a mode
+    assert analyzed == distinct
+    assert max(analyzed) < 32 << 11
 
 
 def test_sample_ensemble_catches_a_course_split_across_components(monkeypatch):
