@@ -232,18 +232,42 @@ def cmd_infer(args):
     return 0
 
 
+def _ncf_records_json(ncfs):
+    # the list ncfs.json_records() renders to as the value of a top-level
+    # key, in one pass over the set's records; a witness tuple's list is
+    # rendered once, however many records share it.  An enumerated catalog
+    # is never empty, and its members carry their layer-structure witnesses.
+    lists = {}
+
+    def int_list(t):
+        if t not in lists:
+            body = ",\n          ".join(map(int.__repr__, t))
+            lists[t] = f"[\n          {body}\n        ]"
+        return lists[t]
+
+    records = []
+    for bits, anf, w in ncfs._records():
+        order, inputs, outputs = map(int_list, w)
+        records.append(
+            f'{{\n      "anf": {_encode_str(anf)},\n      "table": {bits},'
+            f'\n      "witness_form": {{\n        "inputs": {inputs},'
+            f'\n        "order": {order},\n        "outputs": {outputs}'
+            "\n      }\n    }"
+        )
+    return _RawJSON("[\n    " + ",\n    ".join(records) + "\n  ]")
+
+
 def cmd_enumerate(args):
     ncfs = enumerate_ncfs(args.k)
-    lines = ncfs.anf_lines()
-    sys.stdout.write("\n".join(lines) + "\n")
+    text = "\n".join(ncfs.anf_lines()) + "\n"
+    sys.stdout.write(text)
     if args.out:
+        payload = {"arity": args.k, "count": len(ncfs), "ncfs": _ncf_records_json(ncfs)}
         _write_outputs(
             args.out,
             {
-                f"ncfs_k{args.k}.txt": "\n".join(lines) + "\n",
-                f"ncfs_k{args.k}.json": _json_chunks(
-                    {"arity": args.k, "count": len(ncfs), "ncfs": ncfs.json_records()}
-                ),
+                f"ncfs_k{args.k}.txt": text,
+                f"ncfs_k{args.k}.json": _json_chunks(payload),
             },
         )
     return 0

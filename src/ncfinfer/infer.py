@@ -16,7 +16,7 @@ from math import prod
 from .boolfun import TruthTable, variable_masks
 from .errors import CapacityError, InconsistentDataError
 from .modelspace import LocalData, _fits_int, interpolant, model_space_size
-from .ncf import NcfForm, NcfSet, _fitting_forms, enumerate_ncfs, ncf_from_form
+from .ncf import NcfSet, _fitting_forms, enumerate_ncfs
 
 IN_DEGREE_CAP = 5
 
@@ -321,8 +321,10 @@ def cross_check(wiring, timecourses, node):
     ``infer`` reports.  Route two peels cascades against the observed
     points only: a variable may be tested first with input a and output b
     when every observed input with that variable at a has output b, and
-    the rest of the cascade must fit the other observed inputs.  It builds
-    the table of each fitting form pointwise.  Both must give the same set.
+    the rest of the cascade must fit the other observed inputs.  The peel
+    builds each fitting form's table as it descends: a layer with output 1
+    decides its undecided points 1, and the last layer leaves the rest at
+    its default.  Both must give the same set.
     """
     data = local_data(wiring, timecourses, node)
     route_infer = {t.to_int() for t in infer_ncfs(wiring, timecourses, node)}
@@ -334,5 +336,5 @@ def cross_check(wiring, timecourses, node):
         variable_masks(k),
         (1 << (1 << k)) - 1,
     )
-    route_peel = {ncf_from_form(NcfForm(*f)).to_int() for f in forms}
+    route_peel = {bits for _, _, _, bits in forms}
     return route_infer == route_peel

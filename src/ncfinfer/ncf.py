@@ -97,31 +97,36 @@ def _check_order(order, k):
         raise ValueError(f"order {order} is not a permutation of 1..{k}")
 
 
-def _fitting_forms(value, seen, free, varmasks, full):
-    # Yields (order, inputs, outputs), order 1-based, for every cascade on
-    # the 0-based variables `free` that takes `value` at each point of the
-    # mask `seen`.  Variable v may come first with input a and output b
-    # when every seen point with x_v = a has value b; the rest of the
-    # cascade must fit the seen points with x_v != a, and with no variable
-    # left those take the default 1 - b.  Looping v, a, b in ascending
-    # order yields forms in lexicographic order, inputs and outputs
-    # compared from the last layer back.
+def _fitting_forms(value, seen, free, varmasks, undecided, table=0):
+    # Yields (order, inputs, outputs, table int), order 1-based, for every
+    # cascade on the 0-based variables `free` that takes `value` at each
+    # point of the mask `seen`.  `undecided` holds the points no earlier
+    # layer has decided and `table` those decided 1 so far.  Variable v may
+    # come next with input a and output b when every undecided seen point
+    # with x_v = a has value b; those points, seen or not, are then decided
+    # b.  The rest of the cascade must fit the other undecided seen points,
+    # and with no variable left they take the default 1 - b.  Looping v, a,
+    # b in ascending order yields forms in lexicographic order, inputs and
+    # outputs compared from the last layer back.
     for v in free:
         rest = tuple(u for u in free if u != v)
-        for a in (0, 1):
-            hit = seen & (varmasks[v] if a else full ^ varmasks[v])
-            left = seen ^ hit
+        on = undecided & varmasks[v]
+        for a, hit in ((0, undecided ^ on), (1, on)):
+            fixed = hit & seen
+            left = undecided ^ hit
             for b in (0, 1):
-                if value & hit != (hit if b else 0):
+                if value & fixed != (fixed if b else 0):
                     continue
+                decided = table | hit if b else table
                 if not rest:
-                    if value & left == (0 if b else left):
-                        yield (v + 1,), (a,), (b,)
+                    last = left & seen
+                    if value & last == (0 if b else last):
+                        yield (v + 1,), (a,), (b,), decided if b else decided | left
                     continue
-                for order, inputs, outputs in _fitting_forms(
-                    value, left, rest, varmasks, full
+                for order, inputs, outputs, bits in _fitting_forms(
+                    value, seen, rest, varmasks, left, decided
                 ):
-                    yield (v + 1,) + order, (a,) + inputs, (b,) + outputs
+                    yield (v + 1,) + order, (a,) + inputs, (b,) + outputs, bits
 
 
 def completion(subset, order):
@@ -288,31 +293,32 @@ class NcfSet:
             self._anf = tuple(anf_string(tt_to_anf(t)) for t in self.members)
         return list(self._anf)
 
-    def json_records(self):
-        """JSON-ready records: table integer, ANF, and one witness form."""
-        records = []
+    def _records(self):
+        # (table int, ANF line, witness triple or None) per member, in
+        # member order: the one source of json_records and of the catalog
+        # report.  Stored triples come from the layer structure and are
+        # read as they are; only a member without one searches for a form.
         for t, anf in zip(self.members, self.anf_lines()):
-            # stored triples come from the layer structure and are read as
-            # they are; only a member without one searches for a form
-            w = self._witness.get(t.to_int())
+            bits = t.to_int()
+            w = self._witness.get(bits)
             if w is None:
                 form = self.witness(t)
                 if form is not None:
                     w = (form.order, form.inputs, form.outputs)
-            records.append(
-                {
-                    "table": t.to_int(),
-                    "anf": anf,
-                    "witness_form": None
-                    if w is None
-                    else {
-                        "order": list(w[0]),
-                        "inputs": list(w[1]),
-                        "outputs": list(w[2]),
-                    },
-                }
-            )
-        return records
+            yield bits, anf, w
+
+    def json_records(self):
+        """JSON-ready records: table integer, ANF, and one witness form."""
+        return [
+            {
+                "table": bits,
+                "anf": anf,
+                "witness_form": None
+                if w is None
+                else dict(zip(("order", "inputs", "outputs"), map(list, w))),
+            }
+            for bits, anf, w in self._records()
+        ]
 
 
 def _layer_partitions(rest):
@@ -393,8 +399,8 @@ def enumerate_ncfs(k, allow_big=False):
     needed; k = 1 has the two literals.  Every member depends on all k
     variables.
     """
-    if k == 0:
-        raise ValueError("there are no nested canalyzing functions on 0 inputs")
+    if k < 1:
+        raise ValueError(f"there are no nested canalyzing functions on {k} inputs")
     if k > SOFT_ARITY_CAP and not allow_big:
         raise CapacityError(
             f"enumerating NCFs on {k} inputs needs allow_big=True "
@@ -425,4 +431,4 @@ def ncf_forms_of(table):
     k = table.arity
     full = (1 << (1 << k)) - 1
     forms = _fitting_forms(table.to_int(), full, range(k), variable_masks(k), full)
-    return [NcfForm(*f) for f in forms]
+    return [NcfForm(order, inputs, outputs) for order, inputs, outputs, _ in forms]

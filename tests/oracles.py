@@ -6,6 +6,7 @@ its code paths (no packed integers, no coefficient criterion, no
 bit-parallel tricks).
 """
 
+import functools
 import itertools
 
 
@@ -28,15 +29,19 @@ def cascade_values(order, inputs, outputs):
     )
 
 
+@functools.lru_cache(maxsize=None)
 def all_cascade_ints(k):
-    """Packed truth tables of every cascade on k inputs (the form oracle)."""
+    """Packed truth tables of every cascade on k inputs (the form oracle).
+
+    Computed once per k and shared, hence frozen.
+    """
     out = set()
     for order in itertools.permutations(range(1, k + 1)):
         for a in itertools.product((0, 1), repeat=k):
             for b in itertools.product((0, 1), repeat=k):
                 values = cascade_values(order, a, b)
                 out.add(sum(v << m for m, v in enumerate(values)))
-    return out
+    return frozenset(out)
 
 
 def cascade_forms_by_table(k):

@@ -25,6 +25,7 @@ from ncfinfer.formats import (
     serialize_timecourse,
     serialize_wiring,
 )
+from ncfinfer.ncf import enumerate_ncfs
 
 WIRING_AB = '{"nodes": ["A", "B"], "regulators": {"A": ["B"], "B": ["A", "B"]}}'
 
@@ -155,6 +156,26 @@ def test_run_enumerate(tmp_path, capsys):
     assert len(lines) == 64
     payload = json.loads((out / "ncfs_k3.json").read_text())
     assert payload["count"] == 64
+
+
+def test_run_enumerate_rejects_a_negative_arity(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["enumerate-ncfs", "-1", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ValueError" and "-1" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_catalog_report_matches_the_stdlib(k, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["enumerate-ncfs", str(k), "--out", str(out)]) == 0
+    capsys.readouterr()
+    ncfs = enumerate_ncfs(k)
+    payload = {"arity": k, "count": len(ncfs), "ncfs": ncfs.json_records()}
+    assert (out / f"ncfs_k{k}.json").read_text() == (
+        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    )
 
 
 def test_run_dynamics(tmp_path, capsys):

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ncfinfer.boolfun import TruthTable, essential_vars, tt_to_anf
+from ncfinfer.boolfun import TruthTable, essential_vars, tt_to_anf, variable_masks
 from ncfinfer.errors import CapacityError
 from ncfinfer.ncf import (
     NcfForm,
     NcfSet,
+    _fitting_forms,
     completion,
     enumerate_ncfs,
     is_ncf,
@@ -166,6 +167,8 @@ def test_enumeration_order_is_canonical():
 def test_enumerate_rejects_bad_arity():
     with pytest.raises(ValueError):
         enumerate_ncfs(0)
+    with pytest.raises(ValueError, match="-1 inputs"):
+        enumerate_ncfs(-1)
     with pytest.raises(CapacityError):
         enumerate_ncfs(6)
 
@@ -258,3 +261,35 @@ def test_ncf_forms_of_matches_oracle_every_k4_ncf():
 @given(st.integers(min_value=0, max_value=(1 << 16) - 1))
 def test_ncf_forms_of_matches_oracle_random_k4(bits):
     assert _forms(4, bits) == _oracle_forms(4).get(bits, [])
+
+
+@functools.lru_cache(maxsize=None)
+def _pointwise_int(order, inputs, outputs):
+    return ncf_from_form(NcfForm(order, inputs, outputs)).to_int()
+
+
+@st.composite
+def _local_data(draw):
+    # a random set of seen points with random values, or with the values of
+    # a census member so that some cascades fit
+    k = draw(st.integers(1, 5))
+    full = (1 << (1 << k)) - 1
+    seen = draw(st.integers(0, full))
+    value = draw(
+        st.integers(0, full) | st.sampled_from(sorted(oracles.all_cascade_ints(k)))
+    )
+    return k, seen, value & seen
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_local_data())
+def test_peel_tables_match_the_pointwise_definition_and_the_census(case):
+    k, seen, value = case
+    full = (1 << (1 << k)) - 1
+    tables = set()
+    for order, inputs, outputs, bits in _fitting_forms(
+        value, seen, range(k), variable_masks(k), full
+    ):
+        assert bits == _pointwise_int(order, inputs, outputs)
+        tables.add(bits)
+    assert tables == {b for b in oracles.all_cascade_ints(k) if b & seen == value}
