@@ -15,6 +15,8 @@ representations and are inverse to each other.
 """
 
 from functools import lru_cache
+from itertools import compress
+from operator import itemgetter
 
 from .errors import CapacityError
 
@@ -263,15 +265,22 @@ def essential_vars(table):
 
 
 @lru_cache(maxsize=None)
-def _monomial_texts(arity):
-    # (subset mask, rendered monomial) for every monomial on `arity`
-    # variables, ordered by degree and then by variable ids.
-    monomials = [(sorted(index_to_subset(mask)), mask) for mask in range(1 << arity)]
-    monomials.sort(key=lambda vm: (len(vm[0]), vm[0]))
-    return tuple(
-        (mask, "*".join(f"x{i}" for i in vs) if vs else "1")
-        for vs, mask in monomials
-    )
+def _monomial_order(arity):
+    # (format spec, picker, monomial texts) for rendering ANFs on `arity`
+    # variables.  Monomials go by degree and then by variable ids.  The
+    # picker takes a coefficient vector's binary string, which holds the
+    # coefficient of mask m at position 2**arity - 1 - m, and returns its
+    # entries in monomial order.  Its spare last index keeps the result a
+    # tuple even for one monomial; compress stops at the last text.
+    n = 1 << arity
+    monomials = sorted((sorted(index_to_subset(m)), m) for m in range(n))
+    monomials.sort(key=lambda vm: len(vm[0]))
+    texts = tuple("*".join(f"x{i}" for i in vs) or "1" for vs, _ in monomials)
+    picker = itemgetter(*(n - 1 - m for _, m in monomials), 0)
+    return f"0{n}b", picker, texts
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def anf_string(coeffs):
@@ -281,9 +290,14 @@ def anf_string(coeffs):
     ids; variables inside a monomial appear in increasing order.  The zero
     polynomial renders as ``0``.  Output is deterministic.
     """
-    c = coeffs.to_int()
-    terms = [text for mask, text in _monomial_texts(coeffs.arity) if (c >> mask) & 1]
-    return " + ".join(terms) if terms else "0"
+    return _anf_text(coeffs.to_int(), coeffs.arity)
+
+
+def _anf_text(c, arity):
+    # anf_string of the coefficient vector packed in the int c
+    spec, picker, texts = _monomial_order(arity)
+    chosen = picker(format(c, spec).encode().translate(_BIT_BYTES))
+    return " + ".join(compress(texts, chosen)) or "0"
 
 
 def parse_anf(text, arity, allow_big=False):

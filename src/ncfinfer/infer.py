@@ -190,7 +190,7 @@ def infer_ncfs(wiring, timecourses, node):
     if data.arity == 0:
         return NcfSet(0, [])
     candidates = enumerate_ncfs(data.arity)
-    return candidates.filtered(lambda t: _fits_int(t.to_int(), data))
+    return candidates.fitting(data._seen_bits, data._value_bits)
 
 
 def _embed(sub_bits, positions, arity):
@@ -235,9 +235,9 @@ def near_misses(wiring, timecourses, node):
                 )
             except InconsistentDataError:
                 continue
-            for sub in enumerate_ncfs(size):
-                if _fits_int(sub.to_int(), projected):
-                    found[_embed(sub.to_int(), positions, k)] = frozenset(positions)
+            for sub_bits in enumerate_ncfs(size).to_ints():
+                if _fits_int(sub_bits, projected):
+                    found[_embed(sub_bits, positions, k)] = frozenset(positions)
     return [
         (TruthTable.from_int(k, bits, allow_big=True), ess)
         for bits, ess in sorted(found.items())
@@ -327,7 +327,7 @@ def cross_check(wiring, timecourses, node):
     its default.  Both must give the same set.
     """
     data = local_data(wiring, timecourses, node)
-    route_infer = {t.to_int() for t in infer_ncfs(wiring, timecourses, node)}
+    route_infer = set(infer_ncfs(wiring, timecourses, node).to_ints())
     k = data.arity
     forms = _fitting_forms(
         data._value_bits,

@@ -23,9 +23,10 @@ from functools import lru_cache
 from .boolfun import (
     SOFT_ARITY_CAP,
     TruthTable,
-    anf_string,
+    _anf_text,
     tt_to_anf,
     variable_masks,
+    xor_transform,
 )
 from .errors import CapacityError
 
@@ -226,29 +227,55 @@ def is_ncf(table):
 class NcfSet:
     """Deduplicated set of nested canalyzing truth tables of one arity.
 
-    Members are kept in ascending truth-table integer order so that
+    Members are kept as their table integers in ascending order so that
     iteration, export, and set comparisons are deterministic regardless of
-    how the set was produced.  When available, a witness cascade form is
+    how the set was produced; ``members`` builds their ``TruthTable``
+    objects on first access.  When available, a witness cascade form is
     kept per member as an (order, inputs, outputs) triple: the first form
     generating it in lexicographic (order, inputs, outputs) generation
     order.
     """
 
-    __slots__ = ("arity", "members", "_int_set", "_witness", "_anf")
+    __slots__ = ("arity", "_ints", "_int_set", "_witness", "_anf", "_members")
 
     def __init__(self, arity, members, witness=None):
-        self.arity = arity
-        members = sorted(set(members), key=lambda t: t.to_int())
+        ints = set()
         for t in members:
             if t.arity != arity:
                 raise ValueError("all members must share the set's arity")
-        self.members = tuple(members)
-        self._int_set = frozenset(t.to_int() for t in self.members)
-        self._witness = dict(witness) if witness else {}
+            ints.add(t.to_int())
+        self._init(arity, sorted(ints), dict(witness) if witness else {})
+
+    @classmethod
+    def _from_ints(cls, arity, ints, witness):
+        # `ints` ascending and distinct, `witness` owned by the new set
+        self = object.__new__(cls)
+        self._init(arity, ints, witness)
+        return self
+
+    def _init(self, arity, ints, witness):
+        self.arity = arity
+        self._ints = tuple(ints)
+        self._int_set = frozenset(self._ints)
+        self._witness = witness
         self._anf = None
+        self._members = None
+
+    @property
+    def members(self):
+        """Member truth tables in ascending integer order."""
+        if self._members is None:
+            self._members = tuple(
+                TruthTable.from_int(self.arity, b, allow_big=True) for b in self._ints
+            )
+        return self._members
+
+    def to_ints(self):
+        """Member table integers, ascending."""
+        return self._ints
 
     def __len__(self):
-        return len(self.members)
+        return len(self._ints)
 
     def __iter__(self):
         return iter(self.members)
@@ -265,32 +292,46 @@ class NcfSet:
         return hash((self.arity, self._int_set))
 
     def __repr__(self):
-        return f"NcfSet(arity={self.arity}, size={len(self.members)})"
+        return f"NcfSet(arity={self.arity}, size={len(self)})"
+
+    def _subset(self, ints):
+        # members among `ints` (ascending), witnesses carried over
+        w = self._witness
+        return NcfSet._from_ints(self.arity, ints, {b: w[b] for b in ints if b in w})
 
     def filtered(self, keep):
         """Subset of members passing ``keep``; witnesses are carried over."""
-        kept = [t for t in self.members if keep(t)]
-        wit = {
-            t.to_int(): self._witness[t.to_int()]
-            for t in kept
-            if t.to_int() in self._witness
-        }
-        return NcfSet(self.arity, kept, wit)
+        return self._subset([t.to_int() for t in self.members if keep(t)])
+
+    def fitting(self, seen_bits, value_bits):
+        """Subset of members equal to ``value_bits`` on the points of the
+        mask ``seen_bits``; witnesses are carried over."""
+        return self._subset([b for b in self._ints if b & seen_bits == value_bits])
+
+    def _witness_triple(self, bits):
+        # the stored triple, or else the first form the peel finds
+        w = self._witness.get(bits)
+        if w is None:
+            k = self.arity
+            full = (1 << (1 << k)) - 1
+            for order, inputs, outputs, _ in _fitting_forms(
+                bits, full, range(k), variable_masks(k), full
+            ):
+                return order, inputs, outputs
+        return w
 
     def witness(self, table):
         """One cascade form generating ``table``, or None if unknown."""
         if table not in self:
             raise KeyError(f"{table!r} is not a member")
-        w = self._witness.get(table.to_int())
-        if w is not None:
-            return NcfForm(*w)
-        forms = ncf_forms_of(table)
-        return forms[0] if forms else None
+        w = self._witness_triple(table.to_int())
+        return None if w is None else NcfForm(*w)
 
     def anf_lines(self):
         """Canonical ANF strings, one per member, in member order."""
         if self._anf is None:
-            self._anf = tuple(anf_string(tt_to_anf(t)) for t in self.members)
+            k = self.arity
+            self._anf = tuple(_anf_text(xor_transform(b, k), k) for b in self._ints)
         return list(self._anf)
 
     def _records(self):
@@ -298,14 +339,8 @@ class NcfSet:
         # member order: the one source of json_records and of the catalog
         # report.  Stored triples come from the layer structure and are
         # read as they are; only a member without one searches for a form.
-        for t, anf in zip(self.members, self.anf_lines()):
-            bits = t.to_int()
-            w = self._witness.get(bits)
-            if w is None:
-                form = self.witness(t)
-                if form is not None:
-                    w = (form.order, form.inputs, form.outputs)
-            yield bits, anf, w
+        for bits, anf in zip(self._ints, self.anf_lines()):
+            yield bits, anf, self._witness_triple(bits)
 
     def json_records(self):
         """JSON-ready records: table integer, ANF, and one witness form."""
@@ -409,11 +444,8 @@ def enumerate_ncfs(k, allow_big=False):
         )
     if k in _ENUM_CACHE:
         return _ENUM_CACHE[k]
-    forms = _canonical_forms(k)
-    members = [
-        TruthTable.from_int(k, bits, allow_big=allow_big) for bits, _ in forms
-    ]
-    result = NcfSet(k, members, dict(forms))
+    witness = dict(_canonical_forms(k))
+    result = NcfSet._from_ints(k, sorted(witness), witness)
     if k <= 5:
         _ENUM_CACHE[k] = result
     return result

@@ -134,6 +134,9 @@ def test_anf_string():
     assert anf_string(CoeffVector(2, [0, 0, 0, 0])) == "0"
     assert anf_string(CoeffVector(2, [1, 0, 0, 0])) == "1"
     assert anf_string(CoeffVector(3, [1, 1, 0, 0, 0, 1, 0, 0])) == "1 + x1 + x1*x3"
+    assert anf_string(CoeffVector(0, [0])) == "0"
+    assert anf_string(CoeffVector(0, [1])) == "1"
+    assert anf_string(CoeffVector(1, [0, 1])) == "x1"
     # monomials by degree, then by variable ids, for random k=5 polynomials
     rng = random.Random(11)
     for _ in range(200):

@@ -260,13 +260,13 @@ def test_cross_check_validates_the_filtered_set(yeast, monkeypatch):
     wiring, course = yeast
     i = wiring.index("Cdh1")
     assert cross_check(wiring, course, i)
-    real = NcfSet.filtered
+    real = NcfSet.fitting
 
-    def drop_first(self, keep):
-        kept = real(self, keep)
+    def drop_first(self, seen_bits, value_bits):
+        kept = real(self, seen_bits, value_bits)
         return NcfSet(kept.arity, kept.members[1:])
 
-    monkeypatch.setattr(NcfSet, "filtered", drop_first)
+    monkeypatch.setattr(NcfSet, "fitting", drop_first)
     assert not cross_check(wiring, course, i)
 
 

@@ -7,8 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ncfinfer.boolfun import TruthTable, essential_vars, tt_to_anf, variable_masks
+from ncfinfer import ncf as ncf_module
+from ncfinfer.boolfun import (
+    TruthTable,
+    _PackedVector,
+    anf_string,
+    anf_to_tt,
+    essential_vars,
+    parse_anf,
+    tt_to_anf,
+    variable_masks,
+)
 from ncfinfer.errors import CapacityError
+from ncfinfer.infer import infer_all
 from ncfinfer.ncf import (
     NcfForm,
     NcfSet,
@@ -293,3 +304,85 @@ def test_peel_tables_match_the_pointwise_definition_and_the_census(case):
         assert bits == _pointwise_int(order, inputs, outputs)
         tables.add(bits)
     assert tables == {b for b in oracles.all_cascade_ints(k) if b & seen == value}
+
+
+def _count_tables(monkeypatch):
+    # list that grows by one per truth table or coefficient vector built,
+    # from its integer or from its entries
+    built = []
+    from_int, init = _PackedVector.__dict__["_from_int"].__func__, _PackedVector._init
+
+    def counting_from_int(cls, *args):
+        built.append(cls)
+        return from_int(cls, *args)
+
+    def counting_init(self, *args):
+        built.append(type(self))
+        return init(self, *args)
+
+    monkeypatch.setattr(_PackedVector, "_from_int", classmethod(counting_from_int))
+    monkeypatch.setattr(_PackedVector, "_init", counting_init)
+    return built
+
+
+def test_census_and_catalog_lines_build_no_table(monkeypatch):
+    monkeypatch.setattr(ncf_module, "_ENUM_CACHE", {})
+    built = _count_tables(monkeypatch)
+    ncfs = enumerate_ncfs(5)
+    assert len(ncfs) == 10624
+    assert built == []
+    assert len(ncfs.anf_lines()) == 10624
+    assert built == []
+    # a table is built for each member only when a caller asks for members
+    assert ncfs.members[0].to_int() == ncfs.to_ints()[0]
+    assert len(built) == 10624
+
+
+def test_infer_all_builds_tables_only_for_near_misses(yeast, monkeypatch):
+    # a cold process: every census is enumerated inside infer_all
+    monkeypatch.setattr(ncf_module, "_ENUM_CACHE", {})
+    built = _count_tables(monkeypatch)
+    result = infer_all(*yeast)
+    assert sum(len(rec.ncfs) for rec in result.nodes) == 437
+    assert len(built) == sum(len(rec.near_misses) for rec in result.nodes) <= 200
+
+
+def test_lazy_members_are_the_sorted_census_tables():
+    for k in (1, 2, 3, 4):
+        expected = tuple(
+            TruthTable.from_int(k, bits) for bits in sorted(_oracle_forms(k))
+        )
+        assert enumerate_ncfs(k).members == expected
+        assert tuple(enumerate_ncfs(k)) == expected
+    big = enumerate_ncfs(6, allow_big=True)
+    assert {t.arity for t in big.members} == {6}
+    assert tuple(t.to_int() for t in big.members) == big.to_ints()
+
+
+def test_fitting_keeps_the_members_equal_to_the_data_and_their_witnesses():
+    ncfs = enumerate_ncfs(3)
+    seen, value = 0b10010110, 0b10000010
+    fit = ncfs.fitting(seen, value)
+    assert fit == ncfs.filtered(lambda t: t.to_int() & seen == value)
+    assert 0 < len(fit) < len(ncfs)
+    for t in fit:
+        assert fit.witness(t) == ncfs.witness(t)
+
+
+def test_catalog_lines_match_anf_string_every_small_census_member():
+    for k in (1, 2, 3, 4):
+        ncfs = enumerate_ncfs(k)
+        lines = ncfs.anf_lines()
+        assert lines == [anf_string(tt_to_anf(t)) for t in ncfs.members]
+        # and the parser, written apart from the renderer, reads them back
+        assert [anf_to_tt(parse_anf(line, k)) for line in lines] == list(ncfs.members)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 10623))
+def test_catalog_lines_match_anf_string_k5_member(i):
+    ncfs = enumerate_ncfs(5)
+    t = ncfs.members[i]
+    line = ncfs.anf_lines()[i]
+    assert line == anf_string(tt_to_anf(t))
+    assert anf_to_tt(parse_anf(line, 5)) == t
