@@ -6,7 +6,10 @@ Subcommands: ``infer`` (per-node fitting NCF sets and a summary table),
 statistics), ``check`` (dual-route inference validation).  Input files are
 read by :mod:`ncfinfer.formats`.  All randomness flows from --seed; reports
 embed content digests of their inputs; output files are only written once
-a run has fully succeeded, and then all together or not at all.
+a run has fully succeeded, and then all together or not at all.  JSON
+reports are ``json.dumps(indent=2, sort_keys=True)`` texts: each top-level
+value goes through the stdlib encoder, except the NCF catalog, the
+attractors and the component sizes, which are rendered ahead as raw text.
 """
 
 import argparse
@@ -43,8 +46,8 @@ def _read_input(path):
 
 
 class _RawJSON:
-    """JSON text rendered ahead of the report, indented for the depth it
-    sits at; ``_json_chunks`` emits it verbatim."""
+    """JSON text of a top-level report value, rendered ahead of the report
+    and indented for depth 1; ``_json_chunks`` emits it verbatim."""
 
     __slots__ = ("text",)
 
@@ -52,62 +55,28 @@ class _RawJSON:
         self.text = text
 
 
-def _json_chunks(obj):
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` as a list of
+def _json_chunks(report):
+    """``json.dumps(report, indent=2, sort_keys=True) + "\\n"`` as a list of
     chunks, byte for byte once joined.
 
-    The stdlib takes its pure-Python encoder whenever ``indent`` is set;
-    here strings go through the C string encoder and ints through
-    ``int.__repr__``.  A ``_RawJSON`` value is emitted as its text.  Every
-    other value (bools, None, floats, empty containers, dicts with
-    non-string keys, subclasses) is rendered by ``json.dumps`` itself.
+    ``report`` is a nonempty dict with string keys.  Each value is rendered
+    by ``json.dumps`` and indented one level, except a ``_RawJSON`` value,
+    which is emitted as its own chunk, verbatim.
     """
     chunks = []
-    newlines, separators = ["\n"], [",\n"]
-
-    def emit(o, depth, head):
-        # head is the text before o on its line: it joins o's first chunk,
-        # so an element costs one chunk, as in the stdlib, and a list of
-        # only strings or only ints is one chunk in all
-        kind = type(o)
-        if kind is str:
-            chunks.append(head + _encode_str(o))
-            return
-        if kind is int:
-            chunks.append(head + int.__repr__(o))
-            return
-        if kind is _RawJSON:
-            chunks.extend((head, o.text))
-            return
-        if len(newlines) == depth + 1:
-            newlines.append(newlines[-1] + "  ")
-            separators.append(separators[-1] + "  ")
-        outer, inner, sep = newlines[depth], newlines[depth + 1], separators[depth + 1]
-        if (kind is list or kind is tuple) and o:
-            kinds = set(map(type, o))
-            if kinds == {str} or kinds == {int}:
-                body = sep.join(map(_encode_str if str in kinds else int.__repr__, o))
-                chunks.append(f"{head}[{inner}{body}{outer}]")
-                return
-            lead = head + "[" + inner
-            for item in o:
-                emit(item, depth + 1, lead)
-                lead = sep
-            chunks.append(outer + "]")
-        elif kind is dict and o and set(map(type, o)) == {str}:
-            lead = head + "{" + inner
-            for key in sorted(o):
-                emit(o[key], depth + 1, f"{lead}{_encode_str(key)}: ")
-                lead = sep
-            chunks.append(outer + "}")
+    lead = "{\n  "
+    for key in sorted(report):
+        value = report[key]
+        chunks.append(f"{lead}{_encode_str(key)}: ")
+        if type(value) is _RawJSON:
+            chunks.append(value.text)
         else:
             # no string inside a JSON text holds a raw newline, so indenting
-            # every line of the stdlib's own rendering places it at depth
-            dumped = json.dumps(o, indent=2, sort_keys=True)
-            chunks.append(head + dumped.replace("\n", outer))
-
-    emit(obj, 0, "")
-    chunks.append("\n")
+            # every line of the stdlib's own rendering places it at depth 1
+            dumped = json.dumps(value, indent=2, sort_keys=True)
+            chunks.append(dumped.replace("\n", "\n  "))
+        lead = ",\n  "
+    chunks.append("\n}\n")
     return chunks
 
 
@@ -283,10 +252,15 @@ def _dynamics_payload(space, inputs):
         "inputs": inputs,
         "states": 1 << n,
         "components": space.component_count,
-        "component_sizes": list(space.component_sizes),
-        # a key of the top-level object: its line is indented one level
+        # top-level keys, indented one level; the attractors come first, so
+        # the peak of their rendering holds no component sizes text
         "attractors": _RawJSON(
             _attractor_bits(n, space.cycle_states, space.cycle_ends, "\n  ")
+        ),
+        "component_sizes": _RawJSON(
+            "[\n    "
+            + ",\n    ".join(map(int.__repr__, space.component_sizes))
+            + "\n  ]"
         ),
     }
 

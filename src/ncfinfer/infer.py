@@ -6,7 +6,9 @@ transition to a node's regulators yields that node's local data, and the
 node's answer is simply the set of nested canalyzing functions on its
 regulators that agree with every local pair.  Inference is per node
 because the space of whole-network models is the product of the per-node
-spaces.
+spaces.  The near misses, fitting functions excluded only because they
+ignore some regulators, come from one cascade peel run on each proper
+subset of the regulators.
 """
 
 import itertools
@@ -15,7 +17,7 @@ from math import prod
 
 from .boolfun import TruthTable, variable_masks
 from .errors import CapacityError, InconsistentDataError
-from .modelspace import LocalData, _fits_int, interpolant, model_space_size
+from .modelspace import LocalData, interpolant, model_space_size
 from .ncf import NcfSet, _fitting_forms, enumerate_ncfs
 
 IN_DEGREE_CAP = 5
@@ -193,18 +195,6 @@ def infer_ncfs(wiring, timecourses, node):
     return candidates.fitting(data._seen_bits, data._value_bits)
 
 
-def _embed(sub_bits, positions, arity):
-    # Truth table on `arity` inputs that copies a smaller function read off
-    # the variables at 1-based `positions` (ascending).
-    bits = 0
-    for idx in range(1 << arity):
-        sub_idx = 0
-        for j, pos in enumerate(positions):
-            sub_idx |= ((idx >> (pos - 1)) & 1) << j
-        bits |= ((sub_bits >> sub_idx) & 1) << idx
-    return bits
-
-
 def near_misses(wiring, timecourses, node):
     """Fitting functions that are canalyzing cascades on too few regulators.
 
@@ -214,30 +204,21 @@ def near_misses(wiring, timecourses, node):
     set empty).  These are exactly the candidates excluded from
     :func:`infer_ncfs` by the depends-on-all-regulators requirement.
 
-    A function on a subset fits the data exactly when it fits the data
-    projected onto that subset, so only fitting sub-NCFs are embedded.
+    A cascade that tests only some of the variables is still a cascade, so
+    the peel of :func:`cross_check`'s route two, restricted to each subset,
+    finds them.
     """
     data = local_data(wiring, timecourses, node)
     k = data.arity
-    found = {}
-    for const_bits in (0, (1 << (1 << k)) - 1):
-        if _fits_int(const_bits, data):
-            found[const_bits] = frozenset()
+    seen, value = data._seen_bits, data._value_bits
+    full = (1 << (1 << k)) - 1
+    found = {bits: frozenset() for bits in (0, full) if bits & seen == value}
+    varmasks = variable_masks(k)
     for size in range(1, k):
-        for positions in itertools.combinations(range(1, k + 1), size):
-            try:
-                projected = LocalData(
-                    size,
-                    [
-                        (tuple(point[pos - 1] for pos in positions), out)
-                        for point, out in data.pairs
-                    ],
-                )
-            except InconsistentDataError:
-                continue
-            for sub_bits in enumerate_ncfs(size).to_ints():
-                if _fits_int(sub_bits, projected):
-                    found[_embed(sub_bits, positions, k)] = frozenset(positions)
+        for free in itertools.combinations(range(k), size):
+            essential = frozenset(v + 1 for v in free)
+            for _, _, _, bits in _fitting_forms(value, seen, free, varmasks, full):
+                found[bits] = essential
     return [
         (TruthTable.from_int(k, bits, allow_big=True), ess)
         for bits, ess in sorted(found.items())

@@ -12,7 +12,7 @@ samples it.
 
 from dataclasses import dataclass
 
-from .boolfun import TruthTable, anf_to_tt, point_to_index, tt_to_anf
+from .boolfun import TruthTable, _check_bits, anf_to_tt, point_to_index, tt_to_anf
 from .errors import CapacityError, InconsistentDataError
 
 _MATERIALIZE_CAP = 20  # free bits; 2^20 tables is the most tables() will yield
@@ -46,6 +46,7 @@ class LocalData:
                 raise ValueError(
                     f"input {point} has length {len(point)}, expected {arity}"
                 )
+            _check_bits(point, "point")
             if out not in (0, 1):
                 raise ValueError(f"output must be 0/1, got {out!r}")
             idx = point_to_index(point)
@@ -124,11 +125,7 @@ def fits(table, data):
         raise ValueError(
             f"table arity {table.arity} does not match data arity {data.arity}"
         )
-    return _fits_int(table.to_int(), data)
-
-
-def _fits_int(table_bits, data):
-    return table_bits & data._seen_bits == data._value_bits
+    return table.to_int() & data._seen_bits == data._value_bits
 
 
 def model_space_size(data):

@@ -230,21 +230,20 @@ class NcfSet:
     Members are kept as their table integers in ascending order so that
     iteration, export, and set comparisons are deterministic regardless of
     how the set was produced; ``members`` builds their ``TruthTable``
-    objects on first access.  When available, a witness cascade form is
-    kept per member as an (order, inputs, outputs) triple: the first form
-    generating it in lexicographic (order, inputs, outputs) generation
-    order.
+    objects on first access.  Each member's witness is the first cascade
+    form generating it in lexicographic (order, inputs, outputs) order:
+    stored by :func:`enumerate_ncfs` and its subsets, peeled otherwise.
     """
 
     __slots__ = ("arity", "_ints", "_int_set", "_witness", "_anf", "_members")
 
-    def __init__(self, arity, members, witness=None):
+    def __init__(self, arity, members):
         ints = set()
         for t in members:
             if t.arity != arity:
                 raise ValueError("all members must share the set's arity")
             ints.add(t.to_int())
-        self._init(arity, sorted(ints), dict(witness) if witness else {})
+        self._init(arity, sorted(ints), {})
 
     @classmethod
     def _from_ints(cls, arity, ints, witness):
@@ -321,7 +320,7 @@ class NcfSet:
         return w
 
     def witness(self, table):
-        """One cascade form generating ``table``, or None if unknown."""
+        """One cascade form generating ``table``, or None if it has none."""
         if table not in self:
             raise KeyError(f"{table!r} is not a member")
         w = self._witness_triple(table.to_int())

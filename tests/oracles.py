@@ -118,6 +118,20 @@ def restrict(bits, k, positions):
     return out
 
 
+def embed(sub_bits, k, positions):
+    """The table on k inputs that reads the smaller table ``sub_bits`` off
+    the 1-based ``positions`` (ascending): variable j of ``sub_bits`` is
+    ``positions[j]``, and every other variable is ignored."""
+    out = 0
+    for point in range(1 << k):
+        sub = 0
+        for j, pos in enumerate(positions):
+            if (point >> (pos - 1)) & 1:
+                sub |= 1 << j
+        out |= ((sub_bits >> sub) & 1) << point
+    return out
+
+
 def functional_graph(succ):
     """Components, attractors and component sizes of the map m -> succ[m].
 

@@ -651,10 +651,29 @@ json_payloads = st.recursive(
 )
 
 
+# top-level reports: each value paired with whether it goes in pre-rendered
+json_reports = st.dictionaries(
+    st.text(max_size=4), st.tuples(json_payloads, st.booleans()), min_size=1, max_size=4
+)
+
+
 @settings(derandomize=True, max_examples=500, deadline=None)
-@given(json_payloads)
-def test_json_report_matches_the_stdlib(obj):
-    assert cli._json_report(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+@given(json_reports)
+def test_json_report_matches_the_stdlib(drawn):
+    plain = {key: value for key, (value, _) in drawn.items()}
+    report = {
+        key: cli._RawJSON(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
+        if raw
+        else value
+        for key, (value, raw) in drawn.items()
+    }
+    chunks = cli._json_chunks(report)
+    assert "".join(chunks) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+    assert cli._json_report(report) == "".join(chunks)
+    # a pre-rendered value is written as it is, never copied into a larger chunk
+    for value in report.values():
+        if isinstance(value, cli._RawJSON):
+            assert any(c is value.text for c in chunks)
 
 
 YEAST_IO = ["--wiring", str(yeast_wiring_path()),
@@ -700,3 +719,29 @@ def test_reports_match_golden_digests(argv, digests, yeast_result, tmp_path, cap
         name: hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in digests
     } == digests
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["infer", *YEAST_IO],
+        ["sample", *YEAST_IO, "--mode", "unrestricted", "-m", "50", "--seed", "1"],
+    ],
+    ids=["infer", "sample-unrestricted"],
+)
+def test_benchmark_job_runs_traced(argv, tmp_path):
+    # the benchmark's tracer wraps named functions of the package and fails
+    # on a name that is gone; no other test runs it
+    repo = Path(__file__).resolve().parents[1]
+    record = tmp_path / "record.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(ncfinfer.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, str(repo / "perfbench" / "job.py"), str(record), "j0", "1",
+         "--", *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    rec = json.loads(record.read_text())
+    assert rec["rc"] == 0
+    assert "infer.near_misses" in {span["name"] for span in rec["spans"]}

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -239,6 +240,47 @@ def test_near_misses_against_brute_force():
 @given(consistent_instances(max_nodes=5, max_k=4))
 def test_near_misses_against_brute_force_any_instance(instance):
     _assert_near_misses_match_brute_force(*instance)
+
+
+def _embedded_near_misses(d):
+    # fitting constants, plus every cascade on a proper subset of the
+    # variables, embedded point by point, that fits the data
+    k = d.arity
+    pairs = [
+        (sum(x << j for j, x in enumerate(point)), out) for point, out in d.pairs
+    ]
+
+    def fit(bits):
+        return all((bits >> idx) & 1 == out for idx, out in pairs)
+
+    full = (1 << (1 << k)) - 1
+    expected = {bits: frozenset() for bits in (0, full) if fit(bits)}
+    for size in range(1, k):
+        for positions in itertools.combinations(range(1, k + 1), size):
+            for sub_bits in oracles.all_cascade_ints(size):
+                bits = oracles.embed(sub_bits, k, positions)
+                if fit(bits):
+                    expected[bits] = frozenset(positions)
+    return expected
+
+
+@pytest.mark.parametrize("transitions", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_near_misses_k5_against_embedded_sub_cascades(seed, transitions):
+    # the full truth-table filter is out of reach at k = 5 (2^32 tables)
+    rng = random.Random(seed * 10 + transitions)
+    names = [f"n{i}" for i in range(6)]
+    wiring = WiringDiagram(names, [[1, 2, 3, 4, 5]] + [[0]] * 5)
+    while True:
+        rows = [[rng.getrandbits(1) for _ in names] for _ in range(transitions + 1)]
+        course = TimeCourse(names, rows)
+        try:
+            d = local_data(wiring, course, 0)
+        except InconsistentDataError:
+            continue
+        break
+    got = {t.to_int(): ess for t, ess in near_misses(wiring, course, 0)}
+    assert got == _embedded_near_misses(d)
 
 
 def test_cross_check_catches_a_dropped_member(yeast, monkeypatch):
