@@ -41,9 +41,10 @@ def _check_arity(arity, allow_big):
 
 
 def _check_bits(seq, what):
+    # 0.0 and 1.0 compare equal to 0 and 1 but are not bits; bools are
     for v in seq:
-        if v not in (0, 1):
-            raise ValueError(f"{what} must contain only 0/1, got {v!r}")
+        if not isinstance(v, int) or v not in (0, 1):
+            raise ValueError(f"{what} must hold only the integers 0/1, got {v!r}")
 
 
 def point_to_index(point):
@@ -322,12 +323,17 @@ def parse_anf(text, arity, allow_big=False):
             mask = 0
             for factor in term.split("*"):
                 factor = factor.strip()
-                if not factor.startswith("x"):
+                # x, then ASCII digits without a leading zero: int() alone
+                # would also read "x 1", "x01", "x1_0" and non-ASCII digits
+                digits = factor[1:]
+                if not (
+                    factor.startswith("x")
+                    and digits.isascii()
+                    and digits.isdigit()
+                    and digits[0] != "0"
+                ):
                     raise ValueError(f"bad monomial factor {factor!r}")
-                try:
-                    i = int(factor[1:])
-                except ValueError:
-                    raise ValueError(f"bad monomial factor {factor!r}") from None
+                i = int(digits)
                 if not 1 <= i <= arity:
                     raise ValueError(
                         f"variable x{i} out of range for arity {arity}"

@@ -217,7 +217,7 @@ def near_misses(wiring, timecourses, node):
     for size in range(1, k):
         for free in itertools.combinations(range(k), size):
             essential = frozenset(v + 1 for v in free)
-            for _, _, _, bits in _fitting_forms(value, seen, free, varmasks, full):
+            for bits in _fitting_forms(value, seen, free, varmasks, full)[0]:
                 found[bits] = essential
     return [
         (TruthTable.from_int(k, bits, allow_big=True), ess)
@@ -296,26 +296,27 @@ def count_models(result):
 
 
 def cross_check(wiring, timecourses, node):
-    """Compare two independent inference routes for one node.
+    """Compare two inference routes for one node.
 
-    Route one is :func:`infer_ncfs`, the filtered enumeration that
-    ``infer`` reports.  Route two peels cascades against the observed
-    points only: a variable may be tested first with input a and output b
-    when every observed input with that variable at a has output b, and
-    the rest of the cascade must fit the other observed inputs.  The peel
-    builds each fitting form's table as it descends: a layer with output 1
-    decides its undecided points 1, and the last layer leaves the rest at
-    its default.  Both must give the same set.
+    Both routes run the cascade peel that builds the census.  Route one is
+    :func:`infer_ncfs`, the filtered enumeration that ``infer`` reports:
+    the peel with no data, then :meth:`NcfSet.fitting`.  Route two prunes
+    while peeling, against the observed points only: a variable may be
+    tested first with input a and output b when every observed input with
+    that variable at a has output b, and the rest of the cascade must fit
+    the other observed inputs.  So the check compares the data-dependent
+    pruning and the filter against the unpruned census, which the test
+    suite checks against the tables of all k!·4^k cascade forms at every
+    arity the CLI accepts.  Both must give the same set.
     """
     data = local_data(wiring, timecourses, node)
     route_infer = set(infer_ncfs(wiring, timecourses, node).to_ints())
     k = data.arity
-    forms = _fitting_forms(
+    route_peel, _ = _fitting_forms(
         data._value_bits,
         data._seen_bits,
         range(k),
         variable_masks(k),
         (1 << (1 << k)) - 1,
     )
-    route_peel = {bits for _, _, _, bits in forms}
-    return route_infer == route_peel
+    return route_infer == set(route_peel)

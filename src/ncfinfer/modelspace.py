@@ -47,8 +47,7 @@ class LocalData:
                     f"input {point} has length {len(point)}, expected {arity}"
                 )
             _check_bits(point, "point")
-            if out not in (0, 1):
-                raise ValueError(f"output must be 0/1, got {out!r}")
+            _check_bits((out,), "output")
             idx = point_to_index(point)
             if idx in collapsed and collapsed[idx][1] != out:
                 raise InconsistentDataError(

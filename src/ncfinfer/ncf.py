@@ -13,7 +13,10 @@ are implemented side by side and cross-validate each other:
 
 Recognition of an arbitrary truth table searches test orders against the
 coefficient criterion; at the supported arities (k <= 5) that is at most
-120 cheap checks.
+120 cheap checks.  Enumeration is one cascade peel, which finds each
+function once, as its witness form: run with no data it is the census,
+run against observed points it is the fitting set, and run on a whole
+table it finds that table's witness.
 """
 
 import itertools
@@ -98,36 +101,74 @@ def _check_order(order, k):
         raise ValueError(f"order {order} is not a permutation of 1..{k}")
 
 
-def _fitting_forms(value, seen, free, varmasks, undecided, table=0):
-    # Yields (order, inputs, outputs, table int), order 1-based, for every
-    # cascade on the 0-based variables `free` that takes `value` at each
-    # point of the mask `seen`.  `undecided` holds the points no earlier
-    # layer has decided and `table` those decided 1 so far.  Variable v may
-    # come next with input a and output b when every undecided seen point
-    # with x_v = a has value b; those points, seen or not, are then decided
-    # b.  The rest of the cascade must fit the other undecided seen points,
-    # and with no variable left they take the default 1 - b.  Looping v, a,
-    # b in ascending order yields forms in lexicographic order, inputs and
-    # outputs compared from the last layer back.
-    for v in free:
-        rest = tuple(u for u in free if u != v)
-        on = undecided & varmasks[v]
-        for a, hit in ((0, undecided ^ on), (1, on)):
-            fixed = hit & seen
-            left = undecided ^ hit
-            for b in (0, 1):
-                if value & fixed != (fixed if b else 0):
+def _fitting_forms(value, seen, free, varmasks, undecided):
+    # Aligned lists of table ints and their witness forms (order, inputs,
+    # outputs), order 1-based, one entry per nested canalyzing function on
+    # the 0-based variables `free` that takes `value` at each point of the
+    # mask `seen`.  Variable v may come next with input a and output b
+    # when every undecided seen point with x_v = a has value b; those
+    # points, seen or not, are then decided b, and `table` holds the ones
+    # decided 1.  Two rules keep one form per function: a variable with
+    # the same output as the one before it (`prev`, output `prev_b`) has a
+    # larger index, so each layer lists its variables in ascending order;
+    # and the last variable takes input 0 and a larger index than the one
+    # before it, since flipping its input and output together keeps the
+    # function.  The last variable decides every point left and is placed
+    # inline, one call above, except when it is the only variable.
+    tables, forms = [], []
+    table_found, form_found = tables.append, forms.append
+
+    def peel(free, undecided, table, order, inputs, outputs, prev, prev_b):
+        for i, v in enumerate(free):
+            rest = free[:i] + free[i + 1 :]
+            o = order + (v + 1,)
+            on = undecided & varmasks[v]
+            if not rest:
+                # a lone variable is the last one
+                if v > prev:
+                    for b, bits in ((0, table | on), (1, table | undecided ^ on)):
+                        if bits & seen == value:
+                            table_found(bits)
+                            form_found((o, inputs + (0,), outputs + (b,)))
+                continue
+            if len(rest) == 1:
+                w = rest[0]
+                if w < v:
                     continue
-                decided = table | hit if b else table
-                if not rest:
-                    last = left & seen
-                    if value & last == (0 if b else last):
-                        yield (v + 1,), (a,), (b,), decided if b else decided | left
-                    continue
-                for order, inputs, outputs, bits in _fitting_forms(
-                    value, seen, rest, varmasks, left, decided
-                ):
-                    yield (v + 1,) + order, (a,) + inputs, (b,) + outputs, bits
+                ow, mw = o + (w + 1,), varmasks[w]
+            for a, hit in ((0, undecided ^ on), (1, on)):
+                fixed = hit & seen
+                left = undecided ^ hit
+                ins = inputs + (a,)
+                for b in (1 - prev_b,) if v < prev else (0, 1):
+                    if value & fixed != (fixed if b else 0):
+                        continue
+                    decided = table | hit if b else table
+                    outs = outputs + (b,)
+                    if len(rest) > 1:
+                        peel(rest, left, decided, o, ins, outs, v, b)
+                        continue
+                    # w last, input 0: its 0 half decided c, the rest 1 - c
+                    onw = left & mw
+                    insw = ins + (0,)
+                    bits = decided | onw
+                    if bits & seen == value:
+                        table_found(bits)
+                        form_found((ow, insw, outs + (0,)))
+                    bits = decided | left ^ onw
+                    if bits & seen == value:
+                        table_found(bits)
+                        form_found((ow, insw, outs + (1,)))
+
+    peel(tuple(free), undecided, 0, (), (), (), -1, None)
+    return tables, forms
+
+
+def _witness_of(bits, k):
+    # the witness form of the table `bits` on k inputs, or None
+    full = (1 << (1 << k)) - 1
+    _, forms = _fitting_forms(bits, full, range(k), variable_masks(k), full)
+    return forms[0] if forms else None
 
 
 def completion(subset, order):
@@ -230,9 +271,9 @@ class NcfSet:
     Members are kept as their table integers in ascending order so that
     iteration, export, and set comparisons are deterministic regardless of
     how the set was produced; ``members`` builds their ``TruthTable``
-    objects on first access.  Each member's witness is the first cascade
-    form generating it in lexicographic (order, inputs, outputs) order:
-    stored by :func:`enumerate_ncfs` and its subsets, peeled otherwise.
+    objects on first access.  Each member's witness is its first cascade
+    form in the order of :func:`ncf_forms_of`: stored by
+    :func:`enumerate_ncfs` and its subsets, peeled otherwise.
     """
 
     __slots__ = ("arity", "_ints", "_int_set", "_witness", "_anf", "_members")
@@ -308,16 +349,9 @@ class NcfSet:
         return self._subset([b for b in self._ints if b & seen_bits == value_bits])
 
     def _witness_triple(self, bits):
-        # the stored triple, or else the first form the peel finds
+        # the stored triple, or else the one the peel finds
         w = self._witness.get(bits)
-        if w is None:
-            k = self.arity
-            full = (1 << (1 << k)) - 1
-            for order, inputs, outputs, _ in _fitting_forms(
-                bits, full, range(k), variable_masks(k), full
-            ):
-                return order, inputs, outputs
-        return w
+        return _witness_of(bits, self.arity) if w is None else w
 
     def witness(self, table):
         """One cascade form generating ``table``, or None if it has none."""
@@ -336,8 +370,8 @@ class NcfSet:
     def _records(self):
         # (table int, ANF line, witness triple or None) per member, in
         # member order: the one source of json_records and of the catalog
-        # report.  Stored triples come from the layer structure and are
-        # read as they are; only a member without one searches for a form.
+        # report.  Stored triples come from the census peel and are read
+        # as they are; only a member without one is peeled again.
         for bits, anf in zip(self._ints, self.anf_lines()):
             yield bits, anf, self._witness_triple(bits)
 
@@ -355,69 +389,6 @@ class NcfSet:
         ]
 
 
-def _layer_partitions(rest):
-    # Ordered partitions of the variable mask `rest` into nonempty layer
-    # masks whose last layer holds at least two variables.
-    if rest & (rest - 1):
-        yield (rest,)
-    first = (rest - 1) & rest
-    while first:
-        for tail in _layer_partitions(rest ^ first):
-            yield (first,) + tail
-        first = (first - 1) & rest
-
-
-def _canonical_forms(k):
-    # (table int, witness triple) for every NCF on k inputs, each once.
-    # The witness lists each layer's variables in ascending order.  The
-    # last variable's input and output can be flipped together without
-    # changing the function; the witness takes input 0 there.  That makes
-    # it the lexicographically first form generating the table.
-    varmasks = variable_masks(k)
-    full = (1 << (1 << k)) - 1
-    if k == 1:
-        return [
-            (varmasks[0], ((1,), (0,), (0,))),
-            (full ^ varmasks[0], ((1,), (0,), (1,))),
-        ]
-    top = 1 << (k - 1)
-    input_bits = [tuple((a >> i) & 1 for i in range(k)) for a in range(top)]
-    out = []
-    for layers in _layer_partitions((1 << k) - 1):
-        # variables in test order, with their outputs when the first layer
-        # outputs 0 (layer j outputs j & 1)
-        order, outputs = [], []
-        for j, layer in enumerate(layers):
-            for v in range(k):
-                if (layer >> v) & 1:
-                    order.append(v + 1)
-                    outputs.append(j & 1)
-        order = tuple(order)
-        # literals[i][a]: the points where the variable at position i is a
-        literals = [(full ^ varmasks[v - 1], varmasks[v - 1]) for v in order]
-        # witness outputs, indexed by the first layer's output and by
-        # whether the last variable's input and output are flipped
-        witness_outputs = []
-        for b0 in (0, 1):
-            outs = tuple(b0 ^ o for o in outputs)
-            witness_outputs.append((outs, outs[:-1] + (1 - outs[-1],)))
-        # bit i of a_bits is the canalyzing input at position i
-        for a_bits in range(1 << k):
-            table, undecided = 0, full
-            for i, b in enumerate(outputs):
-                hit = undecided & literals[i][(a_bits >> i) & 1]
-                if b:
-                    table |= hit
-                undecided ^= hit
-            if not outputs[-1]:
-                table |= undecided
-            f = a_bits >> (k - 1)
-            inputs = input_bits[a_bits & (top - 1)]
-            for b0, bits in ((0, table), (1, full ^ table)):
-                out.append((bits, (order, inputs, witness_outputs[b0][f])))
-    return out
-
-
 _ENUM_CACHE = {}
 
 
@@ -429,9 +400,11 @@ def enumerate_ncfs(k, allow_big=False):
     an ordered partition of the variables into layers whose last layer
     holds at least two variables, one canalyzing input per variable, and
     the first layer's output, with outputs alternating from layer to
-    layer.  Each such structure is generated once, so no deduplication is
-    needed; k = 1 has the two literals.  Every member depends on all k
-    variables.
+    layer.  Its witness form lists each layer's variables in ascending
+    order and gives the last variable input 0; k = 1 has the two
+    literals.  The census is the cascade peel run with no data, which
+    yields exactly the witness forms, each once, so no deduplication is
+    needed.  Every member depends on all k variables.
     """
     if k < 1:
         raise ValueError(f"there are no nested canalyzing functions on {k} inputs")
@@ -443,7 +416,8 @@ def enumerate_ncfs(k, allow_big=False):
         )
     if k in _ENUM_CACHE:
         return _ENUM_CACHE[k]
-    witness = dict(_canonical_forms(k))
+    full = (1 << (1 << k)) - 1
+    witness = dict(zip(*_fitting_forms(0, 0, range(k), variable_masks(k), full)))
     result = NcfSet._from_ints(k, sorted(witness), witness)
     if k <= 5:
         _ENUM_CACHE[k] = result
@@ -453,13 +427,27 @@ def enumerate_ncfs(k, allow_big=False):
 def ncf_forms_of(table):
     """All cascade forms generating ``table``; empty iff it is not an NCF.
 
-    Peels canalyzing variables off the table: a variable may be tested
-    first with input a and output b when the table is b wherever that
-    variable is a, and the rest of the cascade must generate the table on
-    the other half.  Forms come out in lexicographic (order, inputs,
-    outputs) order, inputs and outputs compared from the last layer back.
+    The peel finds the table's witness form.  Its layers are the runs of
+    equal outputs, the last variable joining the final run once its input
+    and output are flipped to match.  Every form permutes the variables
+    within each layer and then keeps or flips the input and output of
+    whichever variable comes last.  Forms are sorted by order, then by
+    inputs and by outputs, each read from the last layer back, so the
+    witness comes first.
     """
     k = table.arity
-    full = (1 << (1 << k)) - 1
-    forms = _fitting_forms(table.to_int(), full, range(k), variable_masks(k), full)
-    return [NcfForm(order, inputs, outputs) for order, inputs, outputs, _ in forms]
+    w = _witness_of(table.to_int(), k)
+    if w is None:
+        return []
+    order, inputs, outputs = w
+    cells = list(zip(order, inputs, outputs))
+    if k > 1 and outputs[-1] != outputs[-2]:
+        cells[-1] = (order[-1], 1, outputs[-2])
+    layers = [list(run) for _, run in itertools.groupby(cells, key=lambda c: c[2])]
+    forms = []
+    for perm in itertools.product(*map(itertools.permutations, layers)):
+        o, a, b = zip(*itertools.chain.from_iterable(perm))
+        forms.append((o, a, b))
+        forms.append((o, a[:-1] + (1 - a[-1],), b[:-1] + (1 - b[-1],)))
+    forms.sort(key=lambda f: (f[0], f[1][::-1], f[2][::-1]))
+    return [NcfForm(*f) for f in forms]

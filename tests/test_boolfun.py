@@ -101,6 +101,12 @@ def test_construction_validation():
         TruthTable(2, [0, 1, 2, 0])
     with pytest.raises(ValueError):
         TruthTable(2, [0, 1])
+    # floats equal to 0 and 1 are not bits, in tables or points
+    with pytest.raises(ValueError):
+        TruthTable(1, [0.0, 1.0])
+    with pytest.raises(ValueError):
+        evaluate(TruthTable(1, [0, 1]), [1.0])
+    assert TruthTable(1, [False, True]) == TruthTable(1, [0, 1])
     with pytest.raises(CapacityError):
         TruthTable(6, [0] * 64)  # above the soft cap without the flag
     assert TruthTable(6, [0] * 64, allow_big=True).arity == 6
@@ -156,6 +162,10 @@ def test_parse_anf_round_trip_exhaustive_k3():
 
 
 def test_parse_anf_rejects_malformed():
-    for bad in ["", "x1 *", "x0", "x4", "y1", "x1*x1", "x1 + x1", "2"]:
+    for bad in ["", "x1 *", "x0", "x4", "y1", "x1*x1", "x1 + x1", "2",
+                "x 1", "x01", "x\u0661", "x1_0"]:
         with pytest.raises(ValueError):
             parse_anf(bad, 3)
+    # int() reads "x1_0" as x10, which is in range at arity 10
+    with pytest.raises(ValueError):
+        parse_anf("x1_0", 10, allow_big=True)

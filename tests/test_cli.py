@@ -388,6 +388,7 @@ def test_no_partial_outputs_on_failure(tmp_path, capsys):
          '{"rules": {"A": "x1", "B": "0"}}'),
         ('{"nodes": ["A"], "regulators": {"A": ["A"]}}', '{"rules": {"A": 1}}'),
         ('{"nodes": ["A"], "regulators": {"A": ["A"]}}', '{"rules": {"A": null}}'),
+        ('{"nodes": ["A"], "regulators": {"A": ["A"]}}', '{"rules": {"A": "x 1"}}'),
     ],
 )
 def test_malformed_input_is_a_parse_error(tmp_path, capsys, wiring, rules):
@@ -722,14 +723,17 @@ def test_reports_match_golden_digests(argv, digests, yeast_result, tmp_path, cap
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, span",
     [
-        ["infer", *YEAST_IO],
-        ["sample", *YEAST_IO, "--mode", "unrestricted", "-m", "50", "--seed", "1"],
+        (["infer", *YEAST_IO], "infer.near_misses"),
+        (["sample", *YEAST_IO, "--mode", "unrestricted", "-m", "50", "--seed", "1"],
+         "infer.near_misses"),
+        (["enumerate-ncfs", "5"], "ncf.enumerate_ncfs"),
+        (["check", *YEAST_IO, "--node", "Sic1"], "infer.cross_check"),
     ],
-    ids=["infer", "sample-unrestricted"],
+    ids=["infer", "sample-unrestricted", "enumerate-ncfs", "check"],
 )
-def test_benchmark_job_runs_traced(argv, tmp_path):
+def test_benchmark_job_runs_traced(argv, span, tmp_path):
     # the benchmark's tracer wraps named functions of the package and fails
     # on a name that is gone; no other test runs it
     repo = Path(__file__).resolve().parents[1]
@@ -744,4 +748,4 @@ def test_benchmark_job_runs_traced(argv, tmp_path):
     assert done.returncode == 0, done.stderr
     rec = json.loads(record.read_text())
     assert rec["rc"] == 0
-    assert "infer.near_misses" in {span["name"] for span in rec["spans"]}
+    assert span in {s["name"] for s in rec["spans"]}

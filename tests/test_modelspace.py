@@ -139,14 +139,16 @@ def test_local_data_collapses_duplicates_and_rejects_contradictions():
     assert "(0,)" in str(err.value)
 
 
-@pytest.mark.parametrize("point", [(2,), (-1,), (0.5,), ("1",)])
+@pytest.mark.parametrize("point", [(2,), (-1,), (0.5,), ("1",), (1.0,)])
 def test_local_data_rejects_entries_other_than_0_1(point):
     # an entry 2 once passed and later broke model_space_size with a
-    # negative shift count
+    # negative shift count; 1.0 equals 1 but is not a bit
     with pytest.raises(ValueError, match="0/1"):
         LocalData(1, [(point, 1)])
     with pytest.raises(ValueError, match="0/1"):
         LocalData(1, [((0,), 1), ((1,), 0), (point, 1)])
+    with pytest.raises(ValueError, match="0/1"):
+        LocalData(1, [((0,), point[0])])
 
 
 def test_model_space_materialization():

@@ -274,6 +274,21 @@ def test_ncf_forms_of_matches_oracle_random_k4(bits):
     assert _forms(4, bits) == _oracle_forms(4).get(bits, [])
 
 
+def test_ncf_forms_of_covers_every_k5_cascade_once():
+    # the oracle tests stop at k = 4; at k = 5 the members' forms are all
+    # 5!·4^5 cascades, each listed once, each member's witness first
+    ncfs = enumerate_ncfs(5)
+    every = set()
+    for t in ncfs.members:
+        forms = ncf_forms_of(t)
+        assert forms[0] == ncfs.witness(t)
+        assert len(set(forms)) == len(forms)
+        every.update(forms)
+    assert len(every) == 120 * 4**5 == 122_880
+    for t in random.Random(5).sample(ncfs.members, 100):
+        assert all(ncf_from_form(f) == t for f in ncf_forms_of(t))
+
+
 @functools.lru_cache(maxsize=None)
 def _pointwise_int(order, inputs, outputs):
     return ncf_from_form(NcfForm(order, inputs, outputs)).to_int()
@@ -295,15 +310,17 @@ def _local_data(draw):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(_local_data())
 def test_peel_tables_match_the_pointwise_definition_and_the_census(case):
+    # each fitting table comes out once, as the census member's witness
     k, seen, value = case
     full = (1 << (1 << k)) - 1
-    tables = set()
-    for order, inputs, outputs, bits in _fitting_forms(
-        value, seen, range(k), variable_masks(k), full
-    ):
+    census = enumerate_ncfs(k)
+    tables, forms = _fitting_forms(value, seen, range(k), variable_masks(k), full)
+    assert len(forms) == len(tables) == len(set(tables))
+    for bits, (order, inputs, outputs) in zip(tables, forms):
         assert bits == _pointwise_int(order, inputs, outputs)
-        tables.add(bits)
-    assert tables == {b for b in oracles.all_cascade_ints(k) if b & seen == value}
+        witness = census.witness(TruthTable.from_int(k, bits))
+        assert NcfForm(order, inputs, outputs) == witness
+    assert set(tables) == {b for b in oracles.all_cascade_ints(k) if b & seen == value}
 
 
 def _count_tables(monkeypatch):
