@@ -27,6 +27,7 @@ from pathlib import Path
 from .boolfun import anf_string, tt_to_anf
 from .dynamics import (
     BooleanNetwork,
+    _check_sampling,
     _network_size,
     phase_space,
     sample_ensemble,
@@ -37,7 +38,7 @@ from .errors import ToolError
 # by wrapping them on this module
 from .formats import parse_rules, parse_timecourse, parse_wiring
 from .infer import count_models, cross_check, infer_all, states_as_ints
-from .ncf import enumerate_ncfs
+from .ncf import _census_size, enumerate_ncfs
 
 
 def _read_input(path):
@@ -155,7 +156,7 @@ def _infer_table(payload):
             str(n["in_degree"]),
             str(n["distinct_inputs"]),
             str(n["model_space_size"]),
-            str(len(enumerate_ncfs(n["in_degree"])) if n["in_degree"] else 0),
+            str(_census_size(n["in_degree"])),
             str(n["ncf_count"]),
         ]
         for n in payload["nodes"]
@@ -307,7 +308,9 @@ def _histogram_csv(stats):
 def cmd_sample(args):
     wiring_text, wiring_digest = _read_input(args.wiring)
     wiring = parse_wiring(wiring_text)
-    _network_size(wiring)  # fail before inference, not after it
+    # fail before inference, not after it
+    _network_size(wiring)
+    _check_sampling(args.samples, args.seed)
     courses, course_digests = _load_course_args(args)
     result = infer_all(wiring, courses)
     stats = sample_ensemble(result, args.samples, args.seed, args.mode)

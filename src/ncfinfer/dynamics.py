@@ -272,6 +272,13 @@ def _candidate_draw(rec, space, rng, mode):
     raise ValueError(f"unknown sampling mode {mode!r}")
 
 
+def _check_sampling(samples, seed):
+    if samples <= 0:
+        raise ValueError("sample count must be positive")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+
+
 def sample_ensemble(result, samples, seed, mode):
     """Statistics over networks drawn from a node-wise uniform ensemble.
 
@@ -291,10 +298,7 @@ def sample_ensemble(result, samples, seed, mode):
     names the components it spans in the first such sample.  The
     reference trajectory is the first time course.
     """
-    if samples <= 0:
-        raise ValueError("sample count must be positive")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    _check_sampling(samples, seed)
     covered = {rec.name for rec in result.nodes}
     missing = [name for name in result.wiring.nodes if name not in covered]
     if missing:

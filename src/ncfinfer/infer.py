@@ -4,11 +4,12 @@ The wiring diagram fixes each node's regulators; consecutive rows of a
 time course give global (state, next state) transitions.  Restricting each
 transition to a node's regulators yields that node's local data, and the
 node's answer is simply the set of nested canalyzing functions on its
-regulators that agree with every local pair.  Inference is per node
-because the space of whole-network models is the product of the per-node
-spaces.  The near misses, fitting functions excluded only because they
-ignore some regulators, come from one cascade peel run on each proper
-subset of the regulators.
+regulators that agree with every local pair, found by a cascade peel that
+prunes against those pairs as it goes.  Inference is per node because
+the space of whole-network models is the product of the per-node spaces.
+The near misses, fitting functions excluded only because they ignore some
+regulators, come from the same peel run on each proper subset of the
+regulators.
 """
 
 import itertools
@@ -186,13 +187,25 @@ def local_data(wiring, timecourses, node):
 def infer_ncfs(wiring, timecourses, node):
     """All nested canalyzing functions on the node's regulators fitting its data.
 
-    A node without regulators has none: every cascade tests an input.
+    The cascade peel prunes against the observed points as it goes, so it
+    reaches only the fitting functions, each once, as the witness form the
+    census stores for it; the census itself is never built.  A node
+    without regulators has none: every cascade tests an input.
     """
-    data = local_data(wiring, timecourses, node)
-    if data.arity == 0:
-        return NcfSet(0, [])
-    candidates = enumerate_ncfs(data.arity)
-    return candidates.fitting(data._seen_bits, data._value_bits)
+    return _fitting_ncfs(local_data(wiring, timecourses, node))
+
+
+def _fitting_ncfs(data):
+    k = data.arity
+    tables, forms = _fitting_forms(
+        data._value_bits,
+        data._seen_bits,
+        range(k),
+        variable_masks(k),
+        (1 << (1 << k)) - 1,
+    )
+    witness = dict(zip(tables, forms))
+    return NcfSet._from_ints(k, sorted(witness), witness)
 
 
 def near_misses(wiring, timecourses, node):
@@ -205,10 +218,12 @@ def near_misses(wiring, timecourses, node):
     :func:`infer_ncfs` by the depends-on-all-regulators requirement.
 
     A cascade that tests only some of the variables is still a cascade, so
-    the peel of :func:`cross_check`'s route two, restricted to each subset,
-    finds them.
+    the peel of :func:`infer_ncfs`, restricted to each subset, finds them.
     """
-    data = local_data(wiring, timecourses, node)
+    return _near_misses(local_data(wiring, timecourses, node))
+
+
+def _near_misses(data):
     k = data.arity
     seen, value = data._seen_bits, data._value_bits
     full = (1 << (1 << k)) - 1
@@ -280,8 +295,8 @@ def infer_all(wiring, timecourses, only=None):
                 regulators=wiring.regulator_names(i),
                 data=data,
                 space_size=model_space_size(data),
-                ncfs=infer_ncfs(wiring, courses, i),
-                near_misses=tuple(near_misses(wiring, courses, i)),
+                ncfs=_fitting_ncfs(data),
+                near_misses=tuple(_near_misses(data)),
             )
         )
     return InferenceResult(wiring, courses, tuple(records))
@@ -298,25 +313,24 @@ def count_models(result):
 def cross_check(wiring, timecourses, node):
     """Compare two inference routes for one node.
 
-    Both routes run the cascade peel that builds the census.  Route one is
-    :func:`infer_ncfs`, the filtered enumeration that ``infer`` reports:
-    the peel with no data, then :meth:`NcfSet.fitting`.  Route two prunes
-    while peeling, against the observed points only: a variable may be
-    tested first with input a and output b when every observed input with
-    that variable at a has output b, and the rest of the cascade must fit
-    the other observed inputs.  So the check compares the data-dependent
-    pruning and the filter against the unpruned census, which the test
-    suite checks against the tables of all k!·4^k cascade forms at every
-    arity the CLI accepts.  Both must give the same set.
+    Route one is :func:`infer_ncfs`, the fitting set that ``infer``
+    reports: the cascade peel pruned against the observed points only.  A
+    variable may be tested first with input a and output b when every
+    observed input with that variable at a has output b, and the rest of
+    the cascade must fit the other observed inputs.  Route two builds the
+    unpruned census, the same peel with no data, and keeps the members
+    that fit with :meth:`NcfSet.fitting`; a node without regulators has no
+    census and no member.  So the check compares the data-dependent
+    pruning against filtering the census, which the test suite checks
+    against the tables of all k!·4^k cascade forms at every arity the CLI
+    accepts.  Both must give the same set.
     """
     data = local_data(wiring, timecourses, node)
-    route_infer = set(infer_ncfs(wiring, timecourses, node).to_ints())
+    route_peel = _fitting_ncfs(data).to_ints()
     k = data.arity
-    route_peel, _ = _fitting_forms(
-        data._value_bits,
-        data._seen_bits,
-        range(k),
-        variable_masks(k),
-        (1 << (1 << k)) - 1,
+    route_census = (
+        enumerate_ncfs(k).fitting(data._seen_bits, data._value_bits).to_ints()
+        if k
+        else ()
     )
-    return route_infer == set(route_peel)
+    return route_peel == route_census

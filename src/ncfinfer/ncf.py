@@ -22,6 +22,7 @@ table it finds that table's witness.
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 from .boolfun import (
     SOFT_ARITY_CAP,
@@ -272,8 +273,9 @@ class NcfSet:
     iteration, export, and set comparisons are deterministic regardless of
     how the set was produced; ``members`` builds their ``TruthTable``
     objects on first access.  Each member's witness is its first cascade
-    form in the order of :func:`ncf_forms_of`: stored by
-    :func:`enumerate_ncfs` and its subsets, peeled otherwise.
+    form in the order of :func:`ncf_forms_of`: stored by the peel that
+    built the set (:func:`enumerate_ncfs`, or the data-pruned peel of
+    ``infer_ncfs``) and carried into its subsets, peeled otherwise.
     """
 
     __slots__ = ("arity", "_ints", "_int_set", "_witness", "_anf", "_members")
@@ -370,8 +372,9 @@ class NcfSet:
     def _records(self):
         # (table int, ANF line, witness triple or None) per member, in
         # member order: the one source of json_records and of the catalog
-        # report.  Stored triples come from the census peel and are read
-        # as they are; only a member without one is peeled again.
+        # report.  Stored triples come from the peel that built the set
+        # and are read as they are; only a member without one is peeled
+        # again.
         for bits, anf in zip(self._ints, self.anf_lines()):
             yield bits, anf, self._witness_triple(bits)
 
@@ -422,6 +425,19 @@ def enumerate_ncfs(k, allow_big=False):
     if k <= 5:
         _ENUM_CACHE[k] = result
     return result
+
+
+def _census_size(k):
+    # len(enumerate_ncfs(k)) without building it, 0 when k = 0: by the
+    # layer-structure count (Li et al., 2013, as in enumerate_ncfs),
+    # 2^(k+1) times the ordered set partitions of the k variables whose
+    # last block holds at least two of them, and 2 for k = 1
+    if k == 1:
+        return 2
+    ordered = [1]  # ordered set partitions of 0, 1, ..., k - 2 elements
+    for n in range(1, k - 1):
+        ordered.append(sum(comb(n, j) * ordered[n - j] for j in range(1, n + 1)))
+    return 2 ** (k + 1) * sum(comb(k, j) * ordered[k - j] for j in range(2, k + 1))
 
 
 def ncf_forms_of(table):

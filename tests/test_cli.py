@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import ncfinfer
 import oracles
 from ncfinfer import _engine, cli, formats
+from ncfinfer import ncf as ncf_module
 from ncfinfer._engine import _analyze, _attractor_bits, _cycle_lengths
 from ncfinfer.cli import run
 from ncfinfer.datasets import yeast_timecourse_path, yeast_wiring_path
@@ -25,6 +27,7 @@ from ncfinfer.formats import (
     serialize_timecourse,
     serialize_wiring,
 )
+from ncfinfer.infer import TimeCourse, WiringDiagram, infer_all
 from ncfinfer.ncf import enumerate_ncfs
 
 WIRING_AB = '{"nodes": ["A", "B"], "regulators": {"A": ["B"], "B": ["A", "B"]}}'
@@ -592,6 +595,22 @@ def test_sample_checks_the_node_cap_before_inference(tmp_path, capsys, monkeypat
     assert err["error"]["nodes"] == 25
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [(["-m", "0", "--seed", "1"], "sample count must be positive"),
+     (["-m", "5", "--seed", "-1"], "seed must be nonnegative")],
+    ids=["samples", "seed"],
+)
+def test_sample_checks_its_arguments_before_inference(bad, message, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "infer_all", lambda *args, **kwargs: calls.append(args))
+    code = run(["sample", *YEAST_IO, "--mode", "ncf", *bad])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "ValueError", "message": message}
+    assert calls == []
+
+
 def test_cli_runs_keep_openblas_to_one_thread():
     # numpy's BLAS is never called: without a user setting, a run that
     # loads numpy starts no OpenBLAS worker threads
@@ -725,9 +744,9 @@ def test_reports_match_golden_digests(argv, digests, yeast_result, tmp_path, cap
 @pytest.mark.parametrize(
     "argv, span",
     [
-        (["infer", *YEAST_IO], "infer.near_misses"),
+        (["infer", *YEAST_IO], "infer.local_data"),
         (["sample", *YEAST_IO, "--mode", "unrestricted", "-m", "50", "--seed", "1"],
-         "infer.near_misses"),
+         "infer.local_data"),
         (["enumerate-ncfs", "5"], "ncf.enumerate_ncfs"),
         (["check", *YEAST_IO, "--node", "Sic1"], "infer.cross_check"),
     ],
@@ -749,3 +768,52 @@ def test_benchmark_job_runs_traced(argv, span, tmp_path):
     rec = json.loads(record.read_text())
     assert rec["rc"] == 0
     assert span in {s["name"] for s in rec["spans"]}
+
+
+def _syn16_like(rng):
+    # 16 nodes with the in-degrees of the benchmark's syn16 network, random
+    # local functions, three courses of nine rows each
+    degrees = (5, 5, 5, 5, 4, 4, 4, 3, 3, 3, 2, 2, 2, 1, 1, 1)
+    n = len(degrees)
+    regulators = [rng.sample(range(n), k) for k in degrees]
+    tables = [rng.getrandbits(1 << k) for k in degrees]
+
+    def step(state):
+        return sum(
+            ((bits >> sum(((state >> r) & 1) << j for j, r in enumerate(regs))) & 1) << i
+            for i, (regs, bits) in enumerate(zip(regulators, tables))
+        )
+
+    names = [f"g{i:02d}" for i in range(n)]
+    courses = []
+    for _ in range(3):
+        rows = [rng.getrandbits(n)]
+        for _ in range(8):
+            rows.append(step(rows[-1]))
+        courses.append(
+            TimeCourse(names, [[(s >> i) & 1 for i in range(n)] for s in rows])
+        )
+    return WiringDiagram(names, regulators), courses
+
+
+def test_data_path_never_builds_the_census(capsys, monkeypatch):
+    # infer and sample fit the data while peeling; only check (route two)
+    # and enumerate-ncfs build the census
+    monkeypatch.setattr(ncf_module, "_ENUM_CACHE", {})
+    wiring = parse_wiring(yeast_wiring_path().read_text())
+    course = parse_timecourse(yeast_timecourse_path().read_text())
+    yeast = infer_all(wiring, course)
+    syn = infer_all(*_syn16_like(random.Random(1)))
+    assert max(len(rec.regulators) for rec in syn.nodes) == 5
+    assert run(["infer", *YEAST_IO]) == 0
+    for mode in ("ncf", "unrestricted"):
+        assert run(["sample", *YEAST_IO, "--mode", mode, "-m", "5", "--seed", "1"]) == 0
+    assert ncf_module._ENUM_CACHE == {}
+    assert run(["check", *YEAST_IO]) == 0
+    capsys.readouterr()
+    assert set(ncf_module._ENUM_CACHE) == set(wiring.in_degrees)
+    # the peel stores the witness the census stores
+    for rec in yeast.nodes:
+        census = enumerate_ncfs(rec.data.arity)
+        for t in rec.ncfs:
+            assert rec.ncfs.witness(t) == census.witness(t)

@@ -284,16 +284,32 @@ def test_near_misses_k5_against_embedded_sub_cascades(seed, transitions):
 
 
 def test_cross_check_catches_a_dropped_member(yeast, monkeypatch):
+    # one member missing from either route is a mismatch
     wiring, course = yeast
     i = wiring.index("Cdh1")
     assert cross_check(wiring, course, i)
+    d = local_data(wiring, course, i)
     dropped = infer_ncfs(wiring, course, i).members[0]
-    real = infer_module.enumerate_ncfs
-    monkeypatch.setattr(
-        infer_module,
-        "enumerate_ncfs",
-        lambda k, allow_big=False: real(k, allow_big).filtered(lambda t: t != dropped),
-    )
+    real_census = infer_module.enumerate_ncfs
+    with monkeypatch.context() as m:
+        m.setattr(
+            infer_module,
+            "enumerate_ncfs",
+            lambda k, allow_big=False: real_census(k, allow_big).filtered(
+                lambda t: t != dropped
+            ),
+        )
+        census = infer_module.enumerate_ncfs(d.arity)
+        assert len(census.fitting(d._seen_bits, d._value_bits)) == 11
+        assert not cross_check(wiring, course, i)
+    assert cross_check(wiring, course, i)
+    real_peel = infer_module._fitting_forms
+
+    def drop_first(*args):
+        tables, forms = real_peel(*args)
+        return tables[1:], forms[1:]
+
+    monkeypatch.setattr(infer_module, "_fitting_forms", drop_first)
     assert len(infer_ncfs(wiring, course, i)) == 11
     assert not cross_check(wiring, course, i)
 
@@ -310,6 +326,23 @@ def test_cross_check_validates_the_filtered_set(yeast, monkeypatch):
 
     monkeypatch.setattr(NcfSet, "fitting", drop_first)
     assert not cross_check(wiring, course, i)
+
+
+def test_local_data_is_extracted_once_per_node(yeast, monkeypatch):
+    wiring, course = yeast
+    calls = []
+    real = infer_module.local_data
+
+    def counting(wiring, timecourses, node):
+        calls.append(node)
+        return real(wiring, timecourses, node)
+
+    monkeypatch.setattr(infer_module, "local_data", counting)
+    infer_all(wiring, course)
+    assert calls == list(range(len(wiring.nodes)))
+    calls.clear()
+    assert cross_check(wiring, course, wiring.index("Sic1"))
+    assert calls == [wiring.index("Sic1")]
 
 
 def test_near_misses_are_fitting_sub_cascades(yeast):

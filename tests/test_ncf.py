@@ -23,6 +23,7 @@ from ncfinfer.infer import infer_all
 from ncfinfer.ncf import (
     NcfForm,
     NcfSet,
+    _census_size,
     _fitting_forms,
     completion,
     enumerate_ncfs,
@@ -202,11 +203,14 @@ def test_census_matches_layer_count_recursion():
     # k >= 2 inputs is an ordered partition of its variables into layers
     # whose last layer has at least two variables (F(k) - k*F(k-1) ways),
     # a canalyzing input per variable and the first layer's output.
+    # The CLI reads the closed-form count rather than building the census.
     counts = {k: len(enumerate_ncfs(k, allow_big=True)) for k in range(1, 7)}
     assert counts[1] == 2
     for k in range(2, 7):
         assert counts[k] == 2 ** (k + 1) * (FUBINI[k] - k * FUBINI[k - 1])
     assert counts[6] == 183_936
+    assert {k: _census_size(k) for k in range(1, 7)} == counts
+    assert _census_size(0) == 0
 
 
 def test_witness_forms_regenerate_members():
@@ -356,7 +360,7 @@ def test_census_and_catalog_lines_build_no_table(monkeypatch):
 
 
 def test_infer_all_builds_tables_only_for_near_misses(yeast, monkeypatch):
-    # a cold process: every census is enumerated inside infer_all
+    # a cold process: no census is cached for infer_all to read
     monkeypatch.setattr(ncf_module, "_ENUM_CACHE", {})
     built = _count_tables(monkeypatch)
     result = infer_all(*yeast)
