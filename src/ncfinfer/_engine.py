@@ -69,35 +69,94 @@ def _local_index(n, regs):
     return idx
 
 
-def _table_words(tables):
-    """Truth tables of one arity as rows of 32-bit words, entry j at bit
-    j % 32 of word j // 32: one word per table up to arity 5."""
-    width = max(4, (1 << tables[0].arity) >> 3)  # bytes per table
-    packed = b"".join(table.to_int().to_bytes(width, "little") for table in tables)
-    return np.frombuffer(packed, dtype="<u4").reshape(len(tables), -1)
+def _table_words(arity, ints):
+    """Truth tables of one arity, given as ints, as rows of 32-bit words,
+    entry j at bit j % 32 of word j // 32: one word per table up to arity 5."""
+    width = max(4, (1 << arity) >> 3)  # bytes per table
+    packed = b"".join(bits.to_bytes(width, "little") for bits in ints)
+    return np.frombuffer(packed, dtype="<u4").reshape(len(ints), -1)
 
 
-def _successor_map(n, local_indices, columns, networks=1):
-    """The successor map of several networks on one wiring, as one array.
+def _shift_select(words, idx, i, out):
+    """Node i's successor bit at every state, moved to bit i, into ``out``.
 
-    ``columns[i]`` holds node i's truth table in each network; network s's
-    states are offset by s * 2^n.  Node i's bit is its table word shifted
-    right by the local index, masked to one bit and shifted left by i; a
-    table of more than 32 entries first selects each state's word.
+    ``words`` holds one table per row, or one table as a 1-d array, and
+    ``idx`` the node's local index.  The bit is the table word shifted
+    right by the local index and masked; a table of more than 32 entries
+    first selects each state's word.
     """
-    succ = np.zeros((networks, 1 << n), dtype=np.uint32)
+    if words.shape[-1] > 1:
+        words = _gather(words, idx >> 5)
+        idx = idx & 31
+    np.right_shift(words, idx, out=out)
+    out &= 1
+    out <<= i
+    return out
+
+
+def _successor_map(n, local_indices, tables):
+    """The successor map of one network, ``tables[i]`` being node i's."""
+    succ = np.zeros(1 << n, dtype=np.uint32)
     bit = np.empty_like(succ)
-    for i, (idx, tables) in enumerate(zip(local_indices, columns)):
-        words = _table_words(tables)
-        if words.shape[1] > 1:
-            words = _gather(words, idx >> 5)
-            idx = idx & 31
-        np.right_shift(words, idx, out=bit)
-        bit &= 1
-        bit <<= i
-        succ |= bit
-    if networks > 1:
-        succ += np.arange(networks, dtype=np.uint32)[:, None] << np.uint32(n)
+    for i, (idx, table) in enumerate(zip(local_indices, tables)):
+        succ |= _shift_select(
+            _table_words(table.arity, [table.to_int()])[0], idx, i, bit
+        )
+    return succ
+
+
+def _ensemble_plan(n, regulators, nodes, budget, samples):
+    """How ``_ensemble_successors`` builds the successor maps of an
+    ensemble of ``samples`` networks.
+
+    ``nodes[i]`` is node i's ``(count, table)``: how many candidates it
+    draws from, and the table int of candidate ``row``.  A node's successor
+    bits depend only on the candidate it draws, so
+
+    * the bits of every single-candidate node are ORed into one ``base``
+      array;
+    * a node with no more candidates than samples, whose whole candidate
+      set fits what is left of ``budget`` bytes, smallest set first, gets
+      its ``(count, 2^n)`` matrix of shifted successor bits, one row per
+      candidate, computed once;
+    * every other node keeps its local index for the shift select, which
+      computes one row per sample.
+    """
+    base = np.zeros(1 << n, dtype=np.uint32)
+    bit = np.empty_like(base)
+    cached, shifted = [], []
+    column = 4 << n  # bytes per cached candidate
+    for i in sorted(range(len(nodes)), key=lambda i: nodes[i][0]):
+        count, table = nodes[i]
+        k, idx = len(regulators[i]), _local_index(n, regulators[i])
+        if count == 1:
+            base |= _shift_select(_table_words(k, [table(0)])[0], idx, i, bit)
+        elif count <= samples and count * column <= budget:
+            budget -= count * column
+            words = _table_words(k, [table(row) for row in range(count)])
+            matrix = np.empty((count, 1 << n), dtype=np.uint32)
+            cached.append((i, _shift_select(words, idx, i, matrix)))
+        else:
+            shifted.append((i, k, table, idx))
+    return base, cached, shifted
+
+
+def _ensemble_successors(n, plan, rows):
+    """The successor maps of S sampled networks side by side, as one array.
+
+    ``rows[s][i]`` is the candidate node i drew in network s, and network
+    s's states are offset by s * 2^n.
+    """
+    base, cached, shifted = plan
+    succ = np.tile(base, (len(rows), 1))
+    for i, matrix in cached:
+        # np.take into an ``out`` array buffers the copy, at 2.5 times the cost
+        succ |= np.take(matrix, [row[i] for row in rows], axis=0)
+    bits = np.empty_like(succ) if shifted else None
+    for i, k, table, idx in shifted:
+        words = _table_words(k, [table(row[i]) for row in rows])
+        succ |= _shift_select(words, idx, i, bits)
+    succ += np.arange(len(rows), dtype=np.uint32)[:, None] << np.uint32(n)
     return succ.ravel()
 
 
@@ -197,17 +256,18 @@ def _component_sizes(space):
     )
 
 
-def _ensemble_chunk(n, local_indices, drawn, courses):
+def _ensemble_chunk(n, plan, rows, courses):
     """Statistics of S networks on one wiring, analyzed as one graph.
 
-    ``drawn[s][i]`` is node i's table in network s, and ``courses`` lists
-    state integers.  Returns, one entry per network, its component count,
-    the size of the component holding the first course, and the size of
-    its largest component.  Raises ``InvariantViolation`` at the first
-    network, in order, where a course spans components.
+    ``rows[s][i]`` is the candidate node i drew in network s, as
+    ``_ensemble_plan`` numbers them, and ``courses`` lists state integers.
+    Returns, one entry per network, its component count, the size of the
+    component holding the first course, and the size of its largest
+    component.  Raises ``InvariantViolation`` at the first network, in
+    order, where a course spans components.
     """
-    samples = len(drawn)
-    succ = _successor_map(n, local_indices, zip(*drawn), samples)
+    samples = len(rows)
+    succ = _ensemble_successors(n, plan, rows)
     # Most states have no predecessor, so the chunk is analyzed on the
     # image of f alone: it is closed under f and holds every cycle, and a
     # state's component is its successor's.  Positions in the sorted image

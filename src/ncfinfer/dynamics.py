@@ -38,30 +38,49 @@ module imports no numpy, so inference without dynamics never loads it.
 Ensemble sampling draws each node's local function independently and
 uniformly from its candidate set; every sample uses its own
 deterministically derived generator, so results are bit-identical for a
-given seed.  Samples are analyzed in chunks of ENSEMBLE_STATES states
-(32 samples of 11 nodes, one of 16): a chunk's phase spaces sit side by
-side in one functional graph.  Most of its states have no predecessor,
-so after one in-degree count over every state a single doubling and
-pointer-jumping pass runs on the image of f alone.  The image is closed
+given seed.  Draws are table ints: a node draws a row of its candidate
+set (a member of its fitting NCFs, or an assignment to its unobserved
+points, spread through one lookup table per byte), with exactly the
+random bits the function object would take.  A node's successor bits
+depend only on the row it draws, so one plan per call builds every
+sample's successor map:
+
+* every single-candidate node (a forced function, a lone NCF, a model
+  space of one) is folded into one ``base`` array;
+* a node with no more candidates than samples, whose whole candidate
+  set fits ENSEMBLE_CACHE_BYTES (4 MB, in absolute bytes, filled smallest
+  set first), gets a cached matrix of its shifted successor bits, one
+  row of 4 * 2^n bytes per candidate, so a chunk gathers its rows and
+  ORs them in: all 436 yeast NCF candidates take 3.5 MB;
+* every other node keeps its local index and the shift select.
+
+Samples are analyzed in chunks of ENSEMBLE_STATES states (32 samples of
+11 nodes, one of 16): a chunk's phase spaces sit side by side in one
+functional graph.  Most of its states have no predecessor, so after one
+in-degree count over every state a single doubling and pointer-jumping
+pass runs on the image of f alone.  The image is closed
 under f and holds every cycle; a state's component is its successor's,
 and a component's size is the in-degree summed over its image states.
 On the benchmark's seed-1 inputs the image holds a median 2.5 % of a
 sample's states on a random 16-node NCF network (6.7 % when the functions
 are unrestricted) and 12 % of a 32-sample yeast chunk (21 % unrestricted).
-Per state, ``sample_ensemble`` keeps one byte per node of local indices,
-and the chunk analysis adds at most 34 bytes, when every state is a fixed
-point: the identity network at n = 20 peaks at 54 bytes per state under
-tracemalloc, about 1 GB at n = 24.
+Per state, ``sample_ensemble`` keeps the 4-byte base array and a local
+index (one byte, two above arity 8) per node on the shift select, beside
+the cache, and the
+chunk analysis adds at most 34 bytes, when every state is a fixed point:
+the identity network at n = 20 peaks at 44 bytes per state under
+tracemalloc in either mode (every node in the base array, or every node
+on the shift select), about 0.75 GB at n = 24.
 """
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
 from .boolfun import evaluate, point_to_index
 from .errors import CapacityError, ConfigurationError, InvariantViolation
-from .modelspace import ModelSpace
+from .modelspace import ModelSpace, _draw_nothing
 
 if TYPE_CHECKING:
     from numpy import ndarray
@@ -72,6 +91,10 @@ PHASE_SPACE_CAP = 24  # network size; 2^24 states at 17-30 bytes each is 0.3-0.5
 # states analyzed at once by sample_ensemble (32 samples of 11 nodes): a
 # chunk of small networks is never larger than one 16-node phase space
 ENSEMBLE_STATES = 1 << 16
+# bytes of per-candidate successor columns sample_ensemble may cache, in
+# absolute bytes: every yeast NCF candidate fits (436 columns of 2^11
+# states, 3.5 MB), and no node of a 20-node network (4 MB a column)
+ENSEMBLE_CACHE_BYTES = 1 << 22
 HISTOGRAM_BINS = 32
 
 __all__ = [
@@ -181,8 +204,7 @@ def phase_space(network):
     n = _network_size(network.wiring)
     # each node's local index is dropped as soon as its bit is set
     indices = (_local_index(n, regs) for regs in network.wiring.regulators)
-    columns = ([table] for table in network.tables)
-    return _analyze(_successor_map(n, indices, columns), n)
+    return _analyze(_successor_map(n, indices, network.tables), n)
 
 
 def attractors(space):
@@ -248,27 +270,38 @@ class EnsembleStats:
     component_counts: tuple
 
     def as_dict(self):
-        return {
-            k: list(v) if isinstance(v, tuple) else v
-            for k, v in asdict(self).items()
-        }
+        # every field is a number, a string, None or a tuple of numbers, so
+        # a shallow walk gives what dataclasses.asdict would, without its
+        # recursive deep copy
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+        return out
 
 
-def _candidate_draw(rec, space, rng, mode):
+def _node_sampler(rec, mode):
+    """Node ``rec``'s draws on table ints, as ``(count, draw, table)``.
+
+    ``draw(rng)`` picks one of ``count`` candidates, consuming random bits
+    exactly as drawing the function object would, and ``table(row)`` is
+    the table int of candidate ``row``.
+    """
     if mode == "ncf":
-        members = rec.ncfs.members
-        if members:
-            return members[rng.randrange(len(members))]
+        ints = rec.ncfs.to_ints()
+        if ints:
+            count = len(ints)
+            return count, lambda rng: rng.randrange(count), ints.__getitem__
         forced = rec.forced
         if forced is not None:
-            return forced
+            return 1, _draw_nothing, (forced.to_int(),).__getitem__
         raise ConfigurationError(
             f"node {rec.name!r} has no fitting nested canalyzing function "
             "and its data does not force a unique function",
             node=rec.name,
         )
     if mode == "unrestricted":
-        return space.sample(rng)
+        return ModelSpace.from_data(rec.data)._sampler()
     raise ValueError(f"unknown sampling mode {mode!r}")
 
 
@@ -293,7 +326,8 @@ def sample_ensemble(result, samples, seed, mode):
     draws node by node in wiring order, so output is a pure function of
     (seed, mode, samples, result).  Samples are drawn in this order and
     analyzed in chunks of up to ENSEMBLE_STATES states, one pass per
-    chunk; the chunking changes no draw and no result.  Every time course
+    chunk; neither the chunking nor the cached successor columns change
+    a draw or a result.  Every time course
     must lie in one component of every sample, or ``InvariantViolation``
     names the components it spans in the first such sample.  The
     reference trajectory is the first time course.
@@ -306,27 +340,30 @@ def sample_ensemble(result, samples, seed, mode):
             f"inference covers only some nodes; missing {missing}",
             missing=missing,
         )
-    from ._engine import _ensemble_chunk, _local_index
+    from ._engine import _ensemble_chunk, _ensemble_plan
 
     n = _network_size(result.wiring)
-    # built once, reused by every chunk
-    indices = [_local_index(n, regs) for regs in result.wiring.regulators]
-    spaces = [ModelSpace.from_data(rec.data) for rec in result.nodes]
     # every course must stay inside one component; the first is the
     # reference trajectory the statistics are about
     courses = [_state_ints(n, t) for t in result.trajectories()]
+    samplers = [_node_sampler(rec, mode) for rec in result.nodes]
+    draws = [draw for _, draw, _ in samplers]
+    plan = _ensemble_plan(
+        n,
+        result.wiring.regulators,
+        [(count, table) for count, _, table in samplers],
+        ENSEMBLE_CACHE_BYTES,
+        samples,
+    )
 
     chunk = max(1, ENSEMBLE_STATES >> n)
     comp_counts, traj_sizes, largest = [], [], []
     for start in range(0, samples, chunk):
-        drawn = []
+        rows = []
         for j in range(start, min(start + chunk, samples)):
             rng = random.Random((seed << 32) + j)
-            drawn.append([
-                _candidate_draw(rec, ms, rng, mode)
-                for rec, ms in zip(result.nodes, spaces)
-            ])
-        counts, sizes, biggest = _ensemble_chunk(n, indices, drawn, courses)
+            rows.append([draw(rng) for draw in draws])
+        counts, sizes, biggest = _ensemble_chunk(n, plan, rows, courses)
         comp_counts += counts
         traj_sizes += sizes
         largest += biggest

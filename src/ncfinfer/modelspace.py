@@ -132,6 +132,11 @@ def model_space_size(data):
     return 1 << ((1 << data.arity) - data.distinct_inputs)
 
 
+def _draw_nothing(rng):
+    """The draw of a single candidate that consumes no random bits."""
+    return 0
+
+
 @dataclass(frozen=True)
 class ModelSpace:
     """Materializable view of all functions fitting one node's data."""
@@ -173,6 +178,37 @@ class ModelSpace:
         """One fitting function uniformly at random (rng: random.Random)."""
         free = len(self.unseen)
         return self._fill(rng.getrandbits(free) if free else 0)
+
+    def _sampler(self):
+        """``sample`` on table ints, as ``(count, draw, table)``.
+
+        ``draw(rng)`` consumes exactly what ``sample`` consumes and returns
+        the assignment, one of ``range(count)`` in ``tables()`` order;
+        ``table(assign)`` is ``self._fill(assign).to_int()``.  The
+        assignment is spread a byte at a time: entry v of byte b's lookup
+        table holds bit j of v at the (8b + j)-th unobserved index, counted
+        from the byte's first one, so a table never holds more bits than
+        the span of its eight points.
+        """
+        free = len(self.unseen)
+        spread = []
+        for lo in range(0, free, 8):
+            points = self.unseen[lo:lo + 8]
+            entries = [0]
+            for idx in points:
+                entries += [e | 1 << (idx - points[0]) for e in entries]
+            spread.append((points[0], entries))
+        base = self.data._value_bits
+
+        def table(assign):
+            bits = base
+            for shift, entries in spread:
+                bits |= entries[assign & 255] << shift
+                assign >>= 8
+            return bits
+
+        draw = (lambda rng: rng.getrandbits(free)) if free else _draw_nothing
+        return 1 << free, draw, table
 
     def _fill(self, assign):
         # the interpolant with bit j of `assign` scattered to the j-th

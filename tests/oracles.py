@@ -161,3 +161,14 @@ def functional_graph(succ):
     for c in component_of:
         sizes[c] += 1
     return component_of, tuple(attractors), tuple(sizes)
+
+
+def candidate_draw(rec, space, rng, mode):
+    """One node's function object for one ensemble sample, drawn as the
+    ensemble defines it: uniformly from the fitting NCFs (``ncf``), else
+    the forced function, or from the whole model space ``space``
+    (``unrestricted``) through ``ModelSpace.sample``."""
+    if mode == "ncf":
+        members = rec.ncfs.members
+        return members[rng.randrange(len(members))] if members else rec.forced
+    return space.sample(rng)

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import random
 import tracemalloc
 import typing
@@ -169,9 +171,10 @@ def test_phase_space_matches_the_oracle(net):
 
 def test_successor_map_matches_step_on_wide_tables():
     # arities 0..10: one-word tables (k <= 5), multi-word tables (k >= 6)
-    # and the uint16 local index (k >= 9), several networks side by side
+    # and the uint16 local index (k >= 9), several networks side by side;
+    # no cached column, some, or every one (no budget)
     rng = random.Random(909)
-    for k in range(11):
+    for k, budget in itertools.product(range(11), [0, 1 << 16, None]):
         n = rng.randint(max(k, 1), 11)
         regulators = [rng.sample(range(n), k)] + [
             rng.sample(range(n), rng.randint(0, min(n, 10))) for _ in range(n - 1)
@@ -179,25 +182,36 @@ def test_successor_map_matches_step_on_wide_tables():
         wiring = WiringDiagram(
             [f"n{i}" for i in range(n)], regulators, allow_big=True
         )
+        candidates = [
+            [rng.getrandbits(1 << len(regs)) for _ in range(3)] for regs in regulators
+        ]
+        if n > 1:
+            candidates[1] = candidates[1][:1]  # folded into the base array
+        base, cached, shifted = plan = _engine._ensemble_plan(
+            n,
+            regulators,
+            [(len(c), c.__getitem__) for c in candidates],
+            1 << 62 if budget is None else budget,
+            3,
+        )
+        assert len(cached) + len(shifted) == sum(len(c) > 1 for c in candidates)
+        assert (budget == 0) <= (not cached) and (budget is None) <= (not shifted)
+        # three networks side by side, network s drawing candidate s
+        rows = [[min(s, len(c) - 1) for c in candidates] for s in range(3)]
         nets = [
             BooleanNetwork(wiring, [
-                TruthTable.from_int(
-                    len(regs), rng.getrandbits(1 << len(regs)), allow_big=True
-                )
-                for regs in regulators
+                TruthTable.from_int(len(regs), c[row], allow_big=True)
+                for regs, c, row in zip(regulators, candidates, network)
             ])
-            for _ in range(3)
+            for network in rows
         ]
-        succ = _engine._successor_map(
-            n,
-            [_engine._local_index(n, regs) for regs in regulators],
-            [[net.tables[i] for net in nets] for i in range(n)],
-            len(nets),
-        ).tolist()
+        succ = _engine._ensemble_successors(n, plan, rows).tolist()
         for s, net in enumerate(nets):
+            phase = phase_space(net).successor.tolist()
             for m in range(1 << n):
                 state = [(m >> i) & 1 for i in range(n)]
-                assert succ[(s << n) + m] == (s << n) + point_to_index(step(net, state))
+                assert phase[m] == point_to_index(step(net, state))
+                assert succ[(s << n) + m] == (s << n) + phase[m]
 
 
 def _shaped_maps(rng, n):
@@ -302,6 +316,16 @@ def test_sample_ensemble_deterministic(yeast_result):
     assert a.bin_width == 64 and len(a.histogram) == 32
 
 
+def test_ensemble_stats_as_dict_matches_a_deep_copy(yeast_result):
+    stats = sample_ensemble(yeast_result, 40, 2, "unrestricted")
+    deep = {
+        k: list(v) if isinstance(v, tuple) else v
+        for k, v in dataclasses.asdict(stats).items()
+    }
+    assert json.dumps(stats.as_dict()) == json.dumps(deep)
+    assert all(type(v) is not tuple for v in stats.as_dict().values())
+
+
 def test_sample_ensemble_seed_changes_draws(yeast_result):
     a = sample_ensemble(yeast_result, 40, 1, "ncf")
     b = sample_ensemble(yeast_result, 40, 2, "ncf")
@@ -356,15 +380,15 @@ def test_sample_ensemble_configuration_error():
 def test_sample_ensemble_rejects_a_partial_inference(yeast, monkeypatch):
     wiring, course = yeast
     partial = infer_all(wiring, course, only="Sic1")
-    draws = []
+    samplers = []
     monkeypatch.setattr(
-        dynamics_module, "_candidate_draw", lambda *args: draws.append(args)
+        dynamics_module, "_node_sampler", lambda *args: samplers.append(args)
     )
     with pytest.raises(ConfigurationError) as caught:
         sample_ensemble(partial, 3, 0, "ncf")
     missing = [name for name in wiring.nodes if name != "Sic1"]
     assert caught.value.context == {"missing": missing}
-    assert draws == []
+    assert samplers == []
 
 
 def test_sample_ensemble_argument_validation(yeast_result):
@@ -412,7 +436,7 @@ def test_batched_ensemble_matches_per_sample_phase_spaces(
     for j in range(samples):
         rng = random.Random((seed << 32) + j)
         tables = [
-            dynamics_module._candidate_draw(rec, ms, rng, mode)
+            oracles.candidate_draw(rec, ms, rng, mode)
             for rec, ms in zip(result.nodes, spaces)
         ]
         space = phase_space(BooleanNetwork(wiring, tables))
@@ -422,6 +446,88 @@ def test_batched_ensemble_matches_per_sample_phase_spaces(
         assert largest[j] == max(space.component_sizes)
     not_largest = [s for s, big in zip(sizes, largest) if s < big]
     assert stats.count_trajectory_not_in_largest == len(not_largest)
+
+
+@pytest.mark.parametrize("mode", ["ncf", "unrestricted"])
+def test_node_samplers_match_the_object_draw(yeast_result, mode):
+    # the same table from the same random bits, leaving the same rng state
+    for rec in yeast_result.nodes:
+        space = ModelSpace.from_data(rec.data)
+        count, draw, table = dynamics_module._node_sampler(rec, mode)
+        assert count == (len(rec.ncfs) or 1 if mode == "ncf" else space.size)
+        for s in range(30):
+            ours, theirs = random.Random(s), random.Random(s)
+            row = draw(ours)
+            assert 0 <= row < count
+            expected = oracles.candidate_draw(rec, space, theirs, mode)
+            assert table(row) == expected.to_int()
+            assert ours.getstate() == theirs.getstate()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    consistent_instances(max_nodes=6, max_k=3, ncf_rules=True),
+    st.integers(1, 40),
+    st.integers(0, 2**40),
+)
+def test_ensemble_stats_do_not_depend_on_the_column_cache(instance, samples, seed):
+    result = infer_all(*instance)
+    for mode in ("ncf", "unrestricted"):
+        stats = []
+        for budget in (0, dynamics_module.ENSEMBLE_CACHE_BYTES, 1 << 62):
+            with mock.patch.object(dynamics_module, "ENSEMBLE_CACHE_BYTES", budget):
+                stats.append(sample_ensemble(result, samples, seed, mode))
+        assert stats[0] == stats[1] == stats[2]
+
+
+def test_yeast_ensemble_does_not_depend_on_the_column_cache(yeast_result):
+    stats = []
+    for budget in (0, 1 << 62):
+        with mock.patch.object(dynamics_module, "ENSEMBLE_CACHE_BYTES", budget):
+            stats.append(sample_ensemble(yeast_result, 400, 3, "ncf"))
+    assert stats[0] == stats[1]
+    assert stats[0] == sample_ensemble(yeast_result, 400, 3, "ncf")
+
+
+def test_ensemble_plan_keeps_to_its_budget():
+    # columns are cached smallest candidate set first, ties in node order,
+    # while they fit and number no more than the samples; single
+    # candidates go to the base array
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        regulators = [rng.sample(range(n), rng.randint(0, n)) for _ in range(n)]
+        counts = [rng.choice([1, 2, 3, 5, 16, 1 << 40]) for _ in range(n)]
+        budget = rng.choice([0, 1, 4 << n, rng.randrange(64 << n), 128 << n])
+        samples = rng.choice([1, 3, 16, 1 << 62])
+        tables = [
+            (c, lambda row, k=len(regs): row % (1 << (1 << k)))
+            for c, regs in zip(counts, regulators)
+        ]
+        base, cached, shifted = _engine._ensemble_plan(
+            n, regulators, tables, budget, samples
+        )
+        assert sum(matrix.nbytes for _, matrix in cached) <= budget
+        order = sorted((c, i) for i, c in enumerate(counts) if c > 1)
+        kept = [i for _, i in order[:len(cached)]]
+        assert [i for i, _ in cached] == kept
+        assert [i for i, *_ in shifted] == [i for _, i in order[len(cached):]]
+        if len(cached) < len(order):
+            spent = sum(matrix.nbytes for _, matrix in cached)
+            count = order[len(cached)][0]
+            assert count > samples or spent + count * (4 << n) > budget
+
+
+def _inject_networks(monkeypatch, wiring, networks):
+    """Make sample j of the next ``sample_ensemble`` call ``networks[j]``:
+    node i draws from the networks' i-th tables, row j at its j-th draw."""
+
+    def node_sampler(rec, mode):
+        ints = [tables[wiring.index(rec.name)].to_int() for tables in networks]
+        draws = itertools.count()
+        return len(ints), lambda rng: next(draws), ints.__getitem__
+
+    monkeypatch.setattr(dynamics_module, "_node_sampler", node_sampler)
 
 
 def _ring_networks(n, rng):
@@ -451,42 +557,43 @@ def test_ensemble_chunks_of_permutations_and_constants_match_the_oracle(
     state = [1] + [0] * (n - 1)
     result = infer_all(wiring, TimeCourse(wiring.nodes, [state, state]))
     networks = list(_ring_networks(n, random.Random(n)))
-    draws = iter([table for tables in networks for table in tables])
-    monkeypatch.setattr(
-        dynamics_module, "_candidate_draw", lambda *args: next(draws)
-    )
     budget = dynamics_module.ENSEMBLE_STATES if chunk is None else chunk << n
-    outputs, real = [], _engine._ensemble_chunk
-
-    def recorded(*args):
-        outputs.append(real(*args))
-        return outputs[-1]
-
     monkeypatch.setattr(dynamics_module, "ENSEMBLE_STATES", budget)
-    monkeypatch.setattr(_engine, "_ensemble_chunk", recorded)
-    stats = sample_ensemble(result, len(networks), 0, "ncf")
-    assert len(outputs) == -(-len(networks) // max(1, budget >> n))
-    counts, sizes, largest = (
-        [x for out in outputs for x in out[i]] for i in range(3)
-    )
-    for j, tables in enumerate(networks):
-        net = BooleanNetwork(wiring, tables)
-        succ = [
-            point_to_index(step(net, [(m >> i) & 1 for i in range(n)]))
-            for m in range(1 << n)
-        ]
-        component_of, _, oracle_sizes = oracles.functional_graph(succ)
-        assert counts[j] == stats.component_counts[j] == len(oracle_sizes)
-        size = oracle_sizes[component_of[point_to_index(state)]]
-        assert sizes[j] == stats.trajectory_sizes[j] == size
-        assert largest[j] == max(oracle_sizes)
+    real = _engine._ensemble_chunk
+    # every column cached, then every node on the shift select
+    for cache in (dynamics_module.ENSEMBLE_CACHE_BYTES, 0):
+        _inject_networks(monkeypatch, wiring, networks)
+        outputs = []
+
+        def recorded(*args):
+            outputs.append(real(*args))
+            return outputs[-1]
+
+        monkeypatch.setattr(dynamics_module, "ENSEMBLE_CACHE_BYTES", cache)
+        monkeypatch.setattr(_engine, "_ensemble_chunk", recorded)
+        stats = sample_ensemble(result, len(networks), 0, "ncf")
+        assert len(outputs) == -(-len(networks) // max(1, budget >> n))
+        counts, sizes, largest = (
+            [x for out in outputs for x in out[i]] for i in range(3)
+        )
+        for j, tables in enumerate(networks):
+            net = BooleanNetwork(wiring, tables)
+            succ = [
+                point_to_index(step(net, [(m >> i) & 1 for i in range(n)]))
+                for m in range(1 << n)
+            ]
+            component_of, _, oracle_sizes = oracles.functional_graph(succ)
+            assert counts[j] == stats.component_counts[j] == len(oracle_sizes)
+            size = oracle_sizes[component_of[point_to_index(state)]]
+            assert sizes[j] == stats.trajectory_sizes[j] == size
+            assert largest[j] == max(oracle_sizes)
 
 
 def test_ensemble_chunks_analyze_only_the_image(yeast_result):
     # each chunk's graph handed to _components must be the image of its
     # successor map, never the whole chunk
     distinct, analyzed = [], []
-    real_map, real_components = _engine._successor_map, _engine._components
+    real_map, real_components = _engine._ensemble_successors, _engine._components
 
     def successor_map(*args):
         succ = real_map(*args)
@@ -497,7 +604,7 @@ def test_ensemble_chunks_analyze_only_the_image(yeast_result):
         analyzed.append(len(succ))
         return real_components(succ, n)
 
-    with mock.patch.object(_engine, "_successor_map", successor_map), \
+    with mock.patch.object(_engine, "_ensemble_successors", successor_map), \
             mock.patch.object(_engine, "_components", components):
         for mode in ("ncf", "unrestricted"):
             sample_ensemble(yeast_result, 100, 4, mode)
@@ -511,12 +618,9 @@ def test_sample_ensemble_catches_a_course_split_across_components(monkeypatch):
     # identity, whose fixed points split the course 00 -> 11
     wiring = WiringDiagram(["A", "B"], [[0], [1]])
     result = infer_all(wiring, TimeCourse(["A", "B"], [[0, 0], [1, 1]]))
-    draws = itertools.count()
-
-    def draw(rec, space, rng, mode):
-        return IDENTITY1 if next(draws) >= 3 * 2 else NEGATION1
-
-    monkeypatch.setattr(dynamics_module, "_candidate_draw", draw)
+    _inject_networks(
+        monkeypatch, wiring, [[NEGATION1] * 2] * 3 + [[IDENTITY1] * 2] * 5
+    )
     with pytest.raises(InvariantViolation) as caught:
         sample_ensemble(result, 8, 0, "ncf")
     # samples 0-2 have two components each, sample 3 four fixed points;

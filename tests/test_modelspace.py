@@ -175,3 +175,24 @@ def test_model_space_sample_fits_and_is_deterministic():
     draws2 = [space.sample(random.Random(s)).to_int() for s in range(20)]
     assert draws1 == draws2
     assert all(fits(TruthTable.from_int(3, b), d) for b in draws1)
+
+
+@pytest.mark.parametrize(
+    "arity, free", [(3, 0), (3, 1), (4, 8), (4, 9), (5, 17), (6, 0), (6, 9), (7, 100)]
+)
+def test_int_sampler_matches_sample(arity, free):
+    rng = random.Random(arity * 100 + free)
+    seen = rng.sample(range(1 << arity), (1 << arity) - free)
+    data = LocalData(arity, [
+        (tuple((p >> i) & 1 for i in range(arity)), rng.randrange(2)) for p in seen
+    ])
+    space = ModelSpace.from_data(data)
+    count, draw, table = space._sampler()
+    assert count == space.size == 1 << free
+    for s in range(50):
+        ours, theirs = random.Random(s), random.Random(s)
+        assert table(draw(ours)) == space.sample(theirs).to_int()
+        assert ours.getstate() == theirs.getstate()
+    if free <= 9:
+        # the assignment is the row of its table in the materialized order
+        assert [table(a) for a in range(count)] == [t.to_int() for t in space.tables()]
