@@ -57,15 +57,20 @@ def _mark(size, idx):
 def _local_index(n, regs):
     """Every global state's index into a node's truth table.
 
-    Over the states 0 .. 2^n - 1, bit r repeats 2^r zeros and 2^r ones, so
-    each regulator's contribution is one period tiled 2^(n-r-1) times.
+    The states 2^b .. 2^(b+1) - 1 are the states below 2^b with bit b
+    set, so the index is built by doubling: each step copies the filled
+    half and, when node b is the node's j-th regulator, sets bit j.  No
+    state-sized temporary is allocated: fresh pages for one per regulator
+    cost more than the copies.
     """
     dtype = np.uint8 if len(regs) <= 8 else np.uint16
+    place = {r: j for j, r in enumerate(regs)}
     idx = np.zeros(1 << n, dtype=dtype)
-    for j, r in enumerate(regs):
-        period = np.zeros(2 << r, dtype=dtype)
-        period[1 << r:] = 1 << j
-        idx |= np.tile(period, 1 << (n - r - 1))
+    for b in range(n):
+        upper = idx[1 << b:2 << b]
+        upper[:] = idx[:1 << b]
+        if b in place:
+            upper |= 1 << place[b]
     return idx
 
 
@@ -94,17 +99,6 @@ def _shift_select(words, idx, i, out):
     return out
 
 
-def _successor_map(n, local_indices, tables):
-    """The successor map of one network, ``tables[i]`` being node i's."""
-    succ = np.zeros(1 << n, dtype=np.uint32)
-    bit = np.empty_like(succ)
-    for i, (idx, table) in enumerate(zip(local_indices, tables)):
-        succ |= _shift_select(
-            _table_words(table.arity, [table.to_int()])[0], idx, i, bit
-        )
-    return succ
-
-
 def _ensemble_plan(n, regulators, nodes, budget, samples):
     """How ``_ensemble_successors`` builds the successor maps of an
     ensemble of ``samples`` networks.
@@ -121,6 +115,9 @@ def _ensemble_plan(n, regulators, nodes, budget, samples):
       candidate, computed once;
     * every other node keeps its local index for the shift select, which
       computes one row per sample.
+
+    ``phase_space`` plans one network whose every node has one candidate,
+    and its ``base`` array is that network's successor map.
     """
     base = np.zeros(1 << n, dtype=np.uint32)
     bit = np.empty_like(base)

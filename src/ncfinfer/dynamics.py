@@ -11,9 +11,9 @@ numpy arrays and no Python loop over states:
 
 * the successor map is built node by node by a shift select: each node's
   truth table packed into a 32-bit word (a word per 32 entries above
-  arity 5) is shifted right by every state's index into the table, tiled
-  from the bit patterns of its regulators, and the low bit is moved to
-  the node's place;
+  arity 5) is shifted right by every state's index into the table, built
+  by doubling over the state bits, and the low bit is moved to the
+  node's place;
 * doubling land = f^m, m = 1, 2, 4, ..., lands every state on its
   attractor cycle, and stops once the image of f^m stops shrinking, when
   that image is exactly the set of cycle states;
@@ -30,6 +30,10 @@ n = 20, the analysis peaks at 17 bytes per state when few states lie on
 cycles, about 290 MB at n = 24, and at 30 bytes per state when every state
 is a fixed point, about 500 MB at n = 24.  Building ``attractors`` then
 peaks at 136 bytes per cycle state and keeps 84.
+
+``phase_space`` builds its map with the plan that ``sample_ensemble``
+uses (below), as an ensemble of one network whose every node has a
+single candidate, so every node's bits are ORed into the base array.
 
 These numpy steps live in the private module ``ncfinfer._engine``, which
 ``phase_space`` and ``sample_ensemble`` import on their first call: this
@@ -74,11 +78,10 @@ on the shift select), about 0.75 GB at n = 24.
 """
 
 import random
-from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
-from .boolfun import evaluate, point_to_index
+from .boolfun import _check_bits, evaluate, point_to_index
 from .errors import CapacityError, ConfigurationError, InvariantViolation
 from .modelspace import ModelSpace, _draw_nothing
 
@@ -143,14 +146,20 @@ def step(network, state):
         raise ValueError(
             f"state has length {len(state)}, expected {network.size}"
         )
+    _check_bits(state, "state")
     return tuple(
         evaluate(table, [state[r] for r in regs])
         for table, regs in zip(network.tables, network.wiring.regulators)
     )
 
 
-@dataclass(frozen=True)
-class PhaseSpace:
+class PhaseSpace(
+    NamedTuple(
+        "PhaseSpace",
+        [("n", int), ("successor", ndarray), ("component_of", ndarray),
+         ("cycle_states", ndarray), ("cycle_ends", ndarray)],
+    )
+):
     """Complete synchronous dynamics of one network.
 
     successor[m] is the next state of state m; component_of[m] labels m's
@@ -158,14 +167,10 @@ class PhaseSpace:
     start at its smallest state, is cycle_states[cycle_ends[c - 1]:
     cycle_ends[c]] (from 0 for c = 0).  Components are numbered by
     ascending smallest cycle state.  The tuples ``component_sizes`` and
-    ``attractors`` are built from these arrays on first access.
+    ``attractors`` are built from these arrays on first access and kept
+    in the instance ``__dict__``, which this record, alone of the
+    package's records, has: it declares no ``__slots__``.
     """
-
-    n: int
-    successor: ndarray
-    component_of: ndarray
-    cycle_states: ndarray
-    cycle_ends: ndarray
 
     @property
     def component_count(self):
@@ -199,12 +204,14 @@ def _network_size(wiring):
 
 def phase_space(network):
     """Successor map, components, and attractors of every global state."""
-    from ._engine import _analyze, _local_index, _successor_map
+    from ._engine import _analyze, _ensemble_plan
 
     n = _network_size(network.wiring)
-    # each node's local index is dropped as soon as its bit is set
-    indices = (_local_index(n, regs) for regs in network.wiring.regulators)
-    return _analyze(_successor_map(n, indices, network.tables), n)
+    # an ensemble of one network whose every node has a single candidate:
+    # the plan's base array is the successor map
+    nodes = [(1, (t.to_int(),).__getitem__) for t in network.tables]
+    base, _, _ = _ensemble_plan(n, network.wiring.regulators, nodes, 0, 1)
+    return _analyze(base, n)
 
 
 def attractors(space):
@@ -220,6 +227,7 @@ def _as_state_int(n, state):
     state = tuple(state)
     if len(state) != n:
         raise ValueError(f"state has length {len(state)}, expected {n}")
+    _check_bits(state, "state")
     return point_to_index(state)
 
 
@@ -247,8 +255,7 @@ def trajectory_component_size(space, trajectory):
     return space.component_sizes[labels.pop()]
 
 
-@dataclass(frozen=True)
-class EnsembleStats:
+class EnsembleStats(NamedTuple):
     """Aggregates over sampled networks on one wiring and data set.
 
     The histogram counts samples by the size of the component containing
@@ -271,13 +278,11 @@ class EnsembleStats:
 
     def as_dict(self):
         # every field is a number, a string, None or a tuple of numbers, so
-        # a shallow walk gives what dataclasses.asdict would, without its
-        # recursive deep copy
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
+        # a shallow walk turns the tuples into JSON lists
+        return {
+            k: list(v) if isinstance(v, tuple) else v
+            for k, v in self._asdict().items()
+        }
 
 
 def _node_sampler(rec, mode):

@@ -13,10 +13,10 @@ regulators.
 """
 
 import itertools
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
-from .boolfun import TruthTable, variable_masks
+from .boolfun import TruthTable, _check_bits, variable_masks
 from .errors import CapacityError, InconsistentDataError
 from .modelspace import LocalData, interpolant, model_space_size
 from .ncf import NcfSet, _fitting_forms, enumerate_ncfs
@@ -107,9 +107,7 @@ class TimeCourse:
                 raise ValueError(
                     f"row {t + 1} has {len(row)} entries, expected {len(nodes)}"
                 )
-            for v in row:
-                if v not in (0, 1):
-                    raise ValueError(f"row {t + 1} contains non-binary value {v!r}")
+            _check_bits(row, f"row {t + 1}")
         self.nodes = nodes
         self.rows = rows
 
@@ -240,8 +238,7 @@ def _near_misses(data):
     ]
 
 
-@dataclass(frozen=True)
-class NodeInference:
+class NodeInference(NamedTuple):
     """Everything inferred for one node."""
 
     name: str
@@ -257,8 +254,7 @@ class NodeInference:
         return interpolant(self.data) if self.space_size == 1 else None
 
 
-@dataclass(frozen=True)
-class InferenceResult:
+class InferenceResult(NamedTuple):
     """Per-node inference plus the inputs it came from."""
 
     wiring: WiringDiagram

@@ -10,7 +10,7 @@ unobserved points", which is how this module materializes, counts, and
 samples it.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .boolfun import TruthTable, _check_bits, anf_to_tt, point_to_index, tt_to_anf
 from .errors import CapacityError, InconsistentDataError
@@ -137,8 +137,7 @@ def _draw_nothing(rng):
     return 0
 
 
-@dataclass(frozen=True)
-class ModelSpace:
+class ModelSpace(NamedTuple):
     """Materializable view of all functions fitting one node's data."""
 
     arity: int
@@ -171,24 +170,26 @@ class ModelSpace:
                 f"refusing to materialize 2^{free} tables",
                 free_bits=free,
             )
-        for assign in range(1 << free):
-            yield self._fill(assign)
+        count, _, table = self._sampler()
+        for assign in range(count):
+            yield TruthTable.from_int(self.arity, table(assign), allow_big=True)
 
     def sample(self, rng):
         """One fitting function uniformly at random (rng: random.Random)."""
-        free = len(self.unseen)
-        return self._fill(rng.getrandbits(free) if free else 0)
+        _, draw, table = self._sampler()
+        return TruthTable.from_int(self.arity, table(draw(rng)), allow_big=True)
 
     def _sampler(self):
-        """``sample`` on table ints, as ``(count, draw, table)``.
+        """The fitting functions as table ints, ``(count, draw, table)``.
 
-        ``draw(rng)`` consumes exactly what ``sample`` consumes and returns
-        the assignment, one of ``range(count)`` in ``tables()`` order;
-        ``table(assign)`` is ``self._fill(assign).to_int()``.  The
-        assignment is spread a byte at a time: entry v of byte b's lookup
-        table holds bit j of v at the (8b + j)-th unobserved index, counted
-        from the byte's first one, so a table never holds more bits than
-        the span of its eight points.
+        ``table(assign)`` is the interpolant with bit j of ``assign`` at
+        the j-th smallest unobserved index, so ``range(count)`` lists the
+        functions in ``tables()`` order, and ``draw(rng)`` picks one
+        uniformly from ``free`` random bits.  The assignment is spread a
+        byte at a time: entry v of byte b's lookup table holds bit j of v
+        at the (8b + j)-th unobserved index, counted from the byte's first
+        one, so a table never holds more bits than the span of its eight
+        points.
         """
         free = len(self.unseen)
         spread = []
@@ -209,11 +210,3 @@ class ModelSpace:
 
         draw = (lambda rng: rng.getrandbits(free)) if free else _draw_nothing
         return 1 << free, draw, table
-
-    def _fill(self, assign):
-        # the interpolant with bit j of `assign` scattered to the j-th
-        # smallest unobserved index
-        bits = self.interpolant.to_int()
-        for j, idx in enumerate(self.unseen):
-            bits |= ((assign >> j) & 1) << idx
-        return TruthTable.from_int(self.arity, bits, allow_big=True)

@@ -20,14 +20,15 @@ table it finds that table's witness.
 """
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .boolfun import (
     SOFT_ARITY_CAP,
     TruthTable,
     _anf_text,
+    _check_bits,
     tt_to_anf,
     variable_masks,
     xor_transform,
@@ -46,8 +47,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NcfForm:
+class NcfForm(
+    NamedTuple("NcfForm", [("order", tuple), ("inputs", tuple), ("outputs", tuple)])
+):
     """Cascade description of a nested canalyzing function.
 
     order[i] is the (1-based) variable tested at layer i+1; inputs[i] is
@@ -55,23 +57,19 @@ class NcfForm:
     layer fires, the function takes the complement of outputs[-1].
     """
 
-    order: tuple
-    inputs: tuple
-    outputs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "order", tuple(self.order))
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        k = len(self.order)
+    def __new__(cls, order, inputs, outputs):
+        order, inputs, outputs = tuple(order), tuple(inputs), tuple(outputs)
+        k = len(order)
         if k == 0:
             raise ValueError("a cascade needs at least one layer")
-        _check_order(self.order, k)
-        if len(self.inputs) != k or len(self.outputs) != k:
+        _check_order(order, k)
+        if len(inputs) != k or len(outputs) != k:
             raise ValueError("inputs and outputs must have one entry per layer")
-        for v in self.inputs + self.outputs:
-            if v not in (0, 1):
-                raise ValueError("canalyzing inputs and outputs must be 0/1")
+        _check_bits(inputs, "canalyzing inputs")
+        _check_bits(outputs, "canalyzed outputs")
+        return super().__new__(cls, order, inputs, outputs)
 
     @property
     def arity(self):
@@ -336,19 +334,12 @@ class NcfSet:
     def __repr__(self):
         return f"NcfSet(arity={self.arity}, size={len(self)})"
 
-    def _subset(self, ints):
-        # members among `ints` (ascending), witnesses carried over
-        w = self._witness
-        return NcfSet._from_ints(self.arity, ints, {b: w[b] for b in ints if b in w})
-
-    def filtered(self, keep):
-        """Subset of members passing ``keep``; witnesses are carried over."""
-        return self._subset([t.to_int() for t in self.members if keep(t)])
-
     def fitting(self, seen_bits, value_bits):
         """Subset of members equal to ``value_bits`` on the points of the
         mask ``seen_bits``; witnesses are carried over."""
-        return self._subset([b for b in self._ints if b & seen_bits == value_bits])
+        ints = [b for b in self._ints if b & seen_bits == value_bits]
+        w = self._witness
+        return NcfSet._from_ints(self.arity, ints, {b: w[b] for b in ints if b in w})
 
     def _witness_triple(self, bits):
         # the stored triple, or else the one the peel finds

@@ -163,12 +163,42 @@ def functional_graph(succ):
     return component_of, tuple(attractors), tuple(sizes)
 
 
-def candidate_draw(rec, space, rng, mode):
-    """One node's function object for one ensemble sample, drawn as the
-    ensemble defines it: uniformly from the fitting NCFs (``ncf``), else
-    the forced function, or from the whole model space ``space``
-    (``unrestricted``) through ``ModelSpace.sample``."""
+def scatter(k, pairs, assign):
+    """The packed table agreeing with (point index, output) ``pairs`` whose
+    other entries are the bits of ``assign``: bit j of ``assign`` goes to
+    the j-th smallest index not in ``pairs``."""
+    values = dict(pairs)
+    unseen = [p for p in range(1 << k) if p not in values]
+    for j, p in enumerate(unseen):
+        values[p] = (assign >> j) & 1
+    return sum(values[p] << p for p in range(1 << k))
+
+
+def scatter_draw(k, pairs, rng):
+    """A uniform draw of the tables agreeing with ``pairs``: ``scatter`` of
+    ``rng.getrandbits(free)``, free being the number of unseen indices,
+    and no random bits at all when every index is seen."""
+    free = (1 << k) - len(dict(pairs))
+    return scatter(k, pairs, rng.getrandbits(free) if free else 0)
+
+
+def candidate_draw(rec, rng, mode):
+    """One node's table int for one ensemble sample, drawn as the ensemble
+    defines it: uniformly from the fitting NCFs (``ncf``), else the forced
+    function, or from every table fitting the node's data
+    (``unrestricted``) through ``scatter_draw``."""
     if mode == "ncf":
         members = rec.ncfs.members
-        return members[rng.randrange(len(members))] if members else rec.forced
-    return space.sample(rng)
+        table = members[rng.randrange(len(members))] if members else rec.forced
+        return table.to_int()
+    pairs = [
+        (sum(bit << i for i, bit in enumerate(point)), out)
+        for point, out in rec.data.pairs
+    ]
+    return scatter_draw(rec.data.arity, pairs, rng)
+
+
+def filtered(ncfs, keep):
+    """The members of the NcfSet ``ncfs`` passing ``keep``, as a new set
+    built from the tables alone."""
+    return type(ncfs)(ncfs.arity, [t for t in ncfs if keep(t)])

@@ -552,6 +552,34 @@ def test_inference_commands_do_not_import_numpy():
     )
 
 
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # the package's records are NamedTuples, so start-up imports neither
+    _run_fresh_python(
+        "import sys\n"
+        "import ncfinfer.cli\n"
+        "assert 'dataclasses' not in sys.modules\n"
+        "assert 'inspect' not in sys.modules\n"
+    )
+
+
+def test_benchmark_tracer_installs_on_the_package():
+    # perfbench/tracer.py wraps functions and methods of the package by
+    # name, and its traced runs need every one to resolve
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    _run_fresh_python(
+        "import sys\n"
+        f"sys.path.insert(0, {str(perfbench)!r})\n"
+        "import ncfinfer.cli\n"
+        "from tracer import PROBES, Tracer\n"
+        "Tracer('smoke').install('ncfinfer')\n"
+        "for module, path, *_ in PROBES:\n"
+        "    probe = sys.modules['ncfinfer.' + module]\n"
+        "    for part in path.split('.'):\n"
+        "        probe = getattr(probe, part)\n"
+        "    assert hasattr(probe, '__wrapped__'), path\n"
+    )
+
+
 def test_dynamics_checks_its_time_courses_before_the_phase_space(tmp_path):
     # a malformed course fails before the 2^n analysis, which loads numpy
     (tmp_path / "w.json").write_text('{"nodes": ["A"], "regulators": {"A": ["A"]}}')
@@ -754,7 +782,7 @@ def test_reports_match_golden_digests(argv, digests, yeast_result, tmp_path, cap
 )
 def test_benchmark_job_runs_traced(argv, span, tmp_path):
     # the benchmark's tracer wraps named functions of the package and fails
-    # on a name that is gone; no other test runs it
+    # on a name that is gone
     repo = Path(__file__).resolve().parents[1]
     record = tmp_path / "record.json"
     env = dict(os.environ)

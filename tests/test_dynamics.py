@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import itertools
 import json
 import random
@@ -18,6 +18,7 @@ from ncfinfer._engine import _analyze
 from ncfinfer.boolfun import TruthTable, point_to_index
 from ncfinfer.dynamics import (
     BooleanNetwork,
+    EnsembleStats,
     PhaseSpace,
     attractors,
     phase_space,
@@ -25,7 +26,6 @@ from ncfinfer.dynamics import (
     step,
     trajectory_component_size,
 )
-from ncfinfer.modelspace import ModelSpace
 from strategies import consistent_instances
 from ncfinfer.errors import CapacityError, ConfigurationError, InvariantViolation
 from ncfinfer.infer import (
@@ -278,21 +278,28 @@ def test_phase_space_memory_per_state_all_fixed_points():
 
 def test_sample_ensemble_memory_per_state_all_fixed_points():
     # the identity network again: the image of f is every state, so the
-    # ensemble analysis gains nothing from it and holds the most; the n
-    # bytes per state are the kept uint8 local indices, one per node
+    # ensemble analysis gains nothing from it and holds the most.  In ncf
+    # mode every node has the identity alone and is folded into the base
+    # array.  Unrestricted, every node draws the identity or the constant
+    # of its course value, two candidates for one sample, so each keeps
+    # its uint8 local index: the n bytes per state
     n = 20
     wiring = WiringDiagram([f"n{i}" for i in range(n)], [[i] for i in range(n)])
     state = [i % 2 for i in range(n)]
     result = infer_all(wiring, TimeCourse(wiring.nodes, [state, state]))
-    tracemalloc.start()
-    try:
-        stats = sample_ensemble(result, 1, 0, "ncf")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert stats.component_counts == (1 << n,)
-    assert stats.trajectory_sizes == (1,)
-    assert peak <= (n + 48) << n
+    for mode in ("ncf", "unrestricted"):
+        tracemalloc.start()
+        try:
+            stats = sample_ensemble(result, 1, 0, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (count,), (size,) = stats.component_counts, stats.trajectory_sizes
+        # each component is one fixed point and the states that differ from
+        # it only at constant nodes
+        assert count * size == 1 << n, mode
+        assert mode == "unrestricted" or count == 1 << n
+        assert peak <= (n + 48) << n, mode
 
 
 def test_trajectory_component_size():
@@ -307,6 +314,18 @@ def test_trajectory_component_size():
         trajectory_component_size(ident, [])
 
 
+@pytest.mark.parametrize("entry", [2, -1, 1.0, "1", None])
+def test_states_reject_entries_other_than_bits(entry):
+    # unchecked, (0, 2, 0) would be read as state 4 and (0, 1.0, 0) would
+    # raise TypeError
+    net = _self_loop_net(3, IDENTITY1)
+    space = phase_space(net)
+    with pytest.raises(ValueError, match="state must hold only the integers 0/1"):
+        trajectory_component_size(space, [(0, 0, 0), (0, entry, 0)])
+    with pytest.raises(ValueError, match="state must hold only the integers 0/1"):
+        step(net, (0, entry, 0))
+
+
 def test_sample_ensemble_deterministic(yeast_result):
     a = sample_ensemble(yeast_result, 60, 9, "ncf")
     b = sample_ensemble(yeast_result, 60, 9, "ncf")
@@ -318,10 +337,10 @@ def test_sample_ensemble_deterministic(yeast_result):
 
 def test_ensemble_stats_as_dict_matches_a_deep_copy(yeast_result):
     stats = sample_ensemble(yeast_result, 40, 2, "unrestricted")
-    deep = {
-        k: list(v) if isinstance(v, tuple) else v
-        for k, v in dataclasses.asdict(stats).items()
-    }
+    deep = {}
+    for name in EnsembleStats._fields:
+        value = copy.deepcopy(getattr(stats, name))
+        deep[name] = list(value) if isinstance(value, tuple) else value
     assert json.dumps(stats.as_dict()) == json.dumps(deep)
     assert all(type(v) is not tuple for v in stats.as_dict().values())
 
@@ -431,13 +450,14 @@ def test_batched_ensemble_matches_per_sample_phase_spaces(
         [x for out in outputs for x in out[i]] for i in range(3)
     )
 
-    spaces = [ModelSpace.from_data(rec.data) for rec in result.nodes]
     reference = result.trajectories()[0]
     for j in range(samples):
         rng = random.Random((seed << 32) + j)
         tables = [
-            oracles.candidate_draw(rec, ms, rng, mode)
-            for rec, ms in zip(result.nodes, spaces)
+            TruthTable.from_int(
+                rec.data.arity, oracles.candidate_draw(rec, rng, mode), allow_big=True
+            )
+            for rec in result.nodes
         ]
         space = phase_space(BooleanNetwork(wiring, tables))
         assert counts[j] == stats.component_counts[j] == space.component_count
@@ -452,15 +472,13 @@ def test_batched_ensemble_matches_per_sample_phase_spaces(
 def test_node_samplers_match_the_object_draw(yeast_result, mode):
     # the same table from the same random bits, leaving the same rng state
     for rec in yeast_result.nodes:
-        space = ModelSpace.from_data(rec.data)
         count, draw, table = dynamics_module._node_sampler(rec, mode)
-        assert count == (len(rec.ncfs) or 1 if mode == "ncf" else space.size)
+        assert count == (len(rec.ncfs) or 1 if mode == "ncf" else rec.space_size)
         for s in range(30):
             ours, theirs = random.Random(s), random.Random(s)
             row = draw(ours)
             assert 0 <= row < count
-            expected = oracles.candidate_draw(rec, space, theirs, mode)
-            assert table(row) == expected.to_int()
+            assert table(row) == oracles.candidate_draw(rec, theirs, mode)
             assert ours.getstate() == theirs.getstate()
 
 
@@ -626,6 +644,20 @@ def test_sample_ensemble_catches_a_course_split_across_components(monkeypatch):
     # samples 0-2 have two components each, sample 3 four fixed points;
     # the ids are sample 3's own, counted from its first component
     assert caught.value.context == {"components": [0, 3]}
+
+
+def test_records_are_tuples_of_their_fields(yeast_result):
+    stats = sample_ensemble(yeast_result, 5, 3, "ncf")
+    assert len(stats) == len(EnsembleStats._fields) == 11
+    mode, seed, count, *_ = stats
+    assert (mode, seed, count) == ("ncf", 3, 5)
+    assert stats == tuple(stats) and hash(stats) == hash(tuple(stats))
+    # the phase space alone keeps an instance dict, for its cached tuples
+    space = phase_space(_self_loop_net(2, IDENTITY1))
+    assert len(space) == 5 and space.n == 2
+    assert space.attractors is space.attractors
+    assert set(vars(space)) == {"attractors"}
+    assert not hasattr(stats, "__dict__")
 
 
 def test_phase_space_type_hints_resolve():

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -46,6 +47,14 @@ def test_timecourse_validation():
         TimeCourse(["A", "B"], [[0, 1], [1]])
     with pytest.raises(ValueError):
         TimeCourse(["A"], [[0], [2]])
+
+
+@pytest.mark.parametrize("cell", [2, -1, 1.0, 0.0, np.int64(1), "1", None])
+def test_timecourse_rejects_cells_other_than_int_bits(cell):
+    # 1.0 and numpy ints equal 1 but are not bits; the error names the row,
+    # not a regulator point of the node data built from it later
+    with pytest.raises(ValueError, match="row 2 must hold only the integers 0/1"):
+        TimeCourse(["A", "B"], [[0, 1], [1, cell]])
 
 
 def test_local_data_yeast_examples(yeast):
@@ -295,8 +304,8 @@ def test_cross_check_catches_a_dropped_member(yeast, monkeypatch):
         m.setattr(
             infer_module,
             "enumerate_ncfs",
-            lambda k, allow_big=False: real_census(k, allow_big).filtered(
-                lambda t: t != dropped
+            lambda k, allow_big=False: oracles.filtered(
+                real_census(k, allow_big), lambda t: t != dropped
             ),
         )
         census = infer_module.enumerate_ncfs(d.arity)

@@ -182,17 +182,25 @@ def test_model_space_sample_fits_and_is_deterministic():
 )
 def test_int_sampler_matches_sample(arity, free):
     rng = random.Random(arity * 100 + free)
-    seen = rng.sample(range(1 << arity), (1 << arity) - free)
+    pairs = [
+        (p, rng.randrange(2))
+        for p in rng.sample(range(1 << arity), (1 << arity) - free)
+    ]
     data = LocalData(arity, [
-        (tuple((p >> i) & 1 for i in range(arity)), rng.randrange(2)) for p in seen
+        (tuple((p >> i) & 1 for i in range(arity)), out) for p, out in pairs
     ])
     space = ModelSpace.from_data(data)
     count, draw, table = space._sampler()
     assert count == space.size == 1 << free
     for s in range(50):
-        ours, theirs = random.Random(s), random.Random(s)
-        assert table(draw(ours)) == space.sample(theirs).to_int()
-        assert ours.getstate() == theirs.getstate()
+        # the sampler and sample both take the oracle's table from the same
+        # random bits, leaving the same rng state
+        ours, sampled, theirs = (random.Random(s) for _ in range(3))
+        expected = oracles.scatter_draw(arity, pairs, theirs)
+        assert table(draw(ours)) == space.sample(sampled).to_int() == expected
+        assert ours.getstate() == sampled.getstate() == theirs.getstate()
     if free <= 9:
         # the assignment is the row of its table in the materialized order
-        assert [table(a) for a in range(count)] == [t.to_int() for t in space.tables()]
+        expected = [oracles.scatter(arity, pairs, a) for a in range(count)]
+        assert [table(a) for a in range(count)] == expected
+        assert [t.to_int() for t in space.tables()] == expected

@@ -62,6 +62,33 @@ def test_form_validation():
         NcfForm((1, 2), (0, 2), (0, 0))
 
 
+@pytest.mark.parametrize(
+    "form, field",
+    [
+        (((1,), (0.0,), (1,)), "canalyzing inputs"),
+        (((1,), (2,), (1,)), "canalyzing inputs"),
+        (((1, 2), (0, 1), (1, 1.0)), "canalyzed outputs"),
+        (((1, 2), (0, 1), (1, "1")), "canalyzed outputs"),
+    ],
+)
+def test_form_rejects_values_other_than_int_bits(form, field):
+    # 0.0 and 1.0 equal 0 and 1 but are not bits
+    with pytest.raises(ValueError, match=f"{field} must hold only the integers 0/1"):
+        NcfForm(*form)
+
+
+def test_form_is_a_tuple_of_its_fields():
+    form = NcfForm([2, 1], [0, 1], outputs=[1, 1])
+    order, inputs, outputs = form
+    assert (order, inputs, outputs) == ((2, 1), (0, 1), (1, 1))
+    assert len(form) == 3 and form.arity == 2
+    assert form == ((2, 1), (0, 1), (1, 1))
+    assert hash(form) == hash(((2, 1), (0, 1), (1, 1)))
+    assert repr(form) == "NcfForm(order=(2, 1), inputs=(0, 1), outputs=(1, 1))"
+    with pytest.raises(AttributeError):
+        form.order = (1, 2)
+
+
 def test_completion():
     assert completion({1, 3}, (1, 2, 3, 4)) == {1, 2, 3}
     assert completion({2}, (2, 3, 1)) == {2}
@@ -242,10 +269,13 @@ def test_ncf_set_export():
 
 def test_ncf_set_filtered_keeps_witnesses():
     ncfs = enumerate_ncfs(2)
-    odd = ncfs.filtered(lambda t: t.to_int() % 2 == 1)
+    # a subset built from its tables alone peels its witnesses again, and
+    # finds the ones the census stored
+    odd = oracles.filtered(ncfs, lambda t: t.to_int() % 2 == 1)
     assert all(t.to_int() % 2 == 1 for t in odd)
     for t in odd:
         assert ncf_from_form(odd.witness(t)) == t
+        assert odd.witness(t) == ncfs.witness(t)
 
 
 @functools.lru_cache(maxsize=None)
@@ -384,7 +414,7 @@ def test_fitting_keeps_the_members_equal_to_the_data_and_their_witnesses():
     ncfs = enumerate_ncfs(3)
     seen, value = 0b10010110, 0b10000010
     fit = ncfs.fitting(seen, value)
-    assert fit == ncfs.filtered(lambda t: t.to_int() & seen == value)
+    assert fit == oracles.filtered(ncfs, lambda t: t.to_int() & seen == value)
     assert 0 < len(fit) < len(ncfs)
     for t in fit:
         assert fit.witness(t) == ncfs.witness(t)
