@@ -54,18 +54,21 @@ def _mark(size, idx):
     return _scatter(np.zeros(size, dtype=bool), idx, True)
 
 
-def _local_index(n, regs):
-    """Every global state's index into a node's truth table.
+def _local_index(n, regs, idx=None):
+    """The index of each state below 2^n into the truth table of a node
+    whose regulators ``regs`` all lie below bit n, in ``idx``.
 
     The states 2^b .. 2^(b+1) - 1 are the states below 2^b with bit b
     set, so the index is built by doubling: each step copies the filled
     half and, when node b is the node's j-th regulator, sets bit j.  No
     state-sized temporary is allocated: fresh pages for one per regulator
-    cost more than the copies.
+    cost more than the copies.  ``idx``, uint8 (uint16 above arity 8) and
+    new if not given, is overwritten.
     """
-    dtype = np.uint8 if len(regs) <= 8 else np.uint16
+    if idx is None:
+        idx = np.empty(1 << n, dtype=np.uint8 if len(regs) <= 8 else np.uint16)
     place = {r: j for j, r in enumerate(regs)}
-    idx = np.zeros(1 << n, dtype=dtype)
+    idx[0] = 0
     for b in range(n):
         upper = idx[1 << b:2 << b]
         upper[:] = idx[:1 << b]
@@ -74,29 +77,74 @@ def _local_index(n, regs):
     return idx
 
 
-def _table_words(arity, ints):
+def _table_words(arity, ints, narrow=False):
     """Truth tables of one arity, given as ints, as rows of 32-bit words,
-    entry j at bit j % 32 of word j // 32: one word per table up to arity 5."""
-    width = max(4, (1 << arity) >> 3)  # bytes per table
+    entry j at bit j % 32 of word j // 32: one word per table up to arity 5.
+
+    ``narrow`` takes the narrowest word that holds a table instead, uint8
+    up to arity 3 and uint16 at arity 4, for the uint8 selects of the
+    byte lanes.  The shift select into uint32 rows keeps 32-bit words,
+    which a uint8 word was about 10 % slower than on one-network chunks.
+    """
+    width = max(1 if narrow else 4, (1 << arity) >> 3)  # bytes per table
     packed = b"".join(bits.to_bytes(width, "little") for bits in ints)
-    return np.frombuffer(packed, dtype="<u4").reshape(len(ints), -1)
+    dtype = {1: np.uint8, 2: "<u2"}.get(width, "<u4")
+    return np.frombuffer(packed, dtype=dtype).reshape(len(ints), -1)
 
 
-def _shift_select(words, idx, i, out):
-    """Node i's successor bit at every state, moved to bit i, into ``out``.
+def _shift_select(words, idx, place, out):
+    """A node's successor bit at every state, times ``place``, into ``out``.
 
     ``words`` holds one table per row, or one table as a 1-d array, and
     ``idx`` the node's local index.  The bit is the table word shifted
     right by the local index and masked; a table of more than 32 entries
-    first selects each state's word.
+    first selects each state's word.  The bit moves to its place by a
+    multiply: numpy shifts uint8 arrays by a scalar element by element,
+    at about five times the multiply's cost.
     """
     if words.shape[-1] > 1:
         words = _gather(words, idx >> 5)
         idx = idx & 31
-    np.right_shift(words, idx, out=out)
+    # the low bit survives the cast of a wider word into a uint8 ``out``
+    np.right_shift(words, idx, out=out, casting="unsafe")
     out &= 1
-    out <<= i
+    out *= place
     return out
+
+
+def _base_map(n, regulators, singles):
+    """The successor bits of the nodes ``singles``, pairs of a node i and
+    its table int, ORed into one uint32 array.
+
+    The array is built in byte lanes: node i's bit, selected from its
+    table's narrowest word into one reused uint8 buffer, goes to bit
+    i % 8 of lane i // 8, and the at most 4 lanes are stored into the
+    array once, at the end.  A node's bit depends only on the state bits
+    up to its last regulator, so it repeats every 2^m states, m past that
+    regulator's place: it is selected on the first 2^m states alone and
+    ORed into each 2^m-state row of its lane at once.  Rows are at least
+    2^10 states long, so that numpy's OR runs on long rows.  Nodes of
+    arity 8 or less share one reused uint8 local index; a wider node gets
+    a uint16 one of its own.  So a build whose tables fit one word, up to
+    arity 5, holds at most 4 + ceil(n / 8) bytes per state.
+    """
+    lanes = np.zeros(((n + 7) >> 3, 1 << n), dtype=np.uint8)
+    spare, bit = np.empty_like(lanes[0]), np.empty_like(lanes[0])
+    for i, bits in singles:
+        regs = regulators[i]
+        m = min(n, max(10, max(regs, default=0) + 1))
+        words = _table_words(len(regs), [bits], narrow=True)[0]
+        idx = _local_index(m, regs, spare[:1 << m] if len(regs) <= 8 else None)
+        place = np.uint8(1 << (i & 7))
+        rows = lanes[i >> 3].reshape(-1, 1 << m)
+        rows |= _shift_select(words, idx, place, bit[:1 << m])
+        del idx
+    del spare, bit  # freed before the map's own 4 bytes per state
+    base = np.zeros(1 << n, dtype="<u4")
+    octets = base.view(np.uint8).reshape(-1, 4)  # byte j is lane j
+    for j, lane in enumerate(lanes):
+        octets[:, j] = lane
+    return base
 
 
 def _ensemble_plan(n, regulators, nodes, budget, samples):
@@ -107,32 +155,34 @@ def _ensemble_plan(n, regulators, nodes, budget, samples):
     draws from, and the table int of candidate ``row``.  A node's successor
     bits depend only on the candidate it draws, so
 
-    * the bits of every single-candidate node are ORed into one ``base``
-      array;
+    * the bits of every single-candidate node go into one ``base`` array,
+      which ``_base_map`` builds in uint8 byte lanes;
     * a node with no more candidates than samples, whose whole candidate
       set fits what is left of ``budget`` bytes, smallest set first, gets
-      its ``(count, 2^n)`` matrix of shifted successor bits, one row per
-      candidate, computed once;
-    * every other node keeps its local index for the shift select, which
-      computes one row per sample.
+      its ``(count, 2^n)`` uint32 matrix of shifted successor bits, one row
+      per candidate, computed once;
+    * every other node keeps its local index for the uint32 shift select,
+      which computes one row per sample.
 
     ``phase_space`` plans one network whose every node has one candidate,
     and its ``base`` array is that network's successor map.
     """
-    base = np.zeros(1 << n, dtype=np.uint32)
-    bit = np.empty_like(base)
+    base = _base_map(
+        n, regulators, [(i, t(0)) for i, (c, t) in enumerate(nodes) if c == 1]
+    )
     cached, shifted = [], []
     column = 4 << n  # bytes per cached candidate
     for i in sorted(range(len(nodes)), key=lambda i: nodes[i][0]):
         count, table = nodes[i]
-        k, idx = len(regulators[i]), _local_index(n, regulators[i])
         if count == 1:
-            base |= _shift_select(_table_words(k, [table(0)])[0], idx, i, bit)
-        elif count <= samples and count * column <= budget:
+            continue
+        k, idx = len(regulators[i]), _local_index(n, regulators[i])
+        if count <= samples and count * column <= budget:
             budget -= count * column
             words = _table_words(k, [table(row) for row in range(count)])
             matrix = np.empty((count, 1 << n), dtype=np.uint32)
-            cached.append((i, _shift_select(words, idx, i, matrix)))
+            place = np.uint32(1 << i)
+            cached.append((i, _shift_select(words, idx, place, matrix)))
         else:
             shifted.append((i, k, table, idx))
     return base, cached, shifted
@@ -152,7 +202,7 @@ def _ensemble_successors(n, plan, rows):
     bits = np.empty_like(succ) if shifted else None
     for i, k, table, idx in shifted:
         words = _table_words(k, [table(row[i]) for row in rows])
-        succ |= _shift_select(words, idx, i, bits)
+        succ |= _shift_select(words, idx, np.uint32(1 << i), bits)
     succ += np.arange(len(rows), dtype=np.uint32)[:, None] << np.uint32(n)
     return succ.ravel()
 
@@ -247,10 +297,8 @@ def _analyze(succ, n):
 
 
 def _component_sizes(space):
-    """The number of states in each component of ``space``, as a tuple."""
-    return tuple(
-        np.bincount(space.component_of, minlength=space.component_count).tolist()
-    )
+    """The number of states in each component of ``space``, as an array."""
+    return np.bincount(space.component_of, minlength=space.component_count)
 
 
 def _ensemble_chunk(n, plan, rows, courses):
@@ -323,8 +371,40 @@ def _ensemble_chunk(n, plan, rows, courses):
 
 
 def _cycle_lengths(ends):
-    """The length of each cycle, as a list, from where the cycles end."""
-    return np.diff(ends, prepend=0).tolist()
+    """The length of each cycle, as an array, from where the cycles end."""
+    return np.diff(ends, prepend=0)
+
+
+def _decimal(values, sep):
+    """``sep.join(map(str, values))`` for a nonempty array of nonnegative
+    ints.
+
+    Row i of one byte array holds value i's digits, right-aligned with
+    leading zeros, and ``sep``; a mask drops the leading zeros and the
+    last separator, so no Python int or str per value is made, as in
+    ``_attractor_bits``.
+    """
+    sep = sep.encode()
+    top = values.max()
+    width = len(str(top))
+    rows = np.empty((len(values), width + len(sep)), dtype=np.uint8)
+    rest = values.astype(np.min_scalar_type(top))
+    for j in range(width - 1, -1, -1):
+        rows[:, j] = rest % 10
+        rest //= 10
+    del rest
+    keep = np.ones(rows.shape, dtype=bool)
+    # a digit is kept from the value's first nonzero digit on; the units
+    # always
+    lead = rows[:, :width - 1] != 0
+    np.logical_or.accumulate(lead, axis=1, out=keep[:, :width - 1])
+    del lead
+    rows[:, :width] += ord("0")
+    rows[:, width:] = np.frombuffer(sep, dtype=np.uint8)
+    keep[-1, width:] = False
+    text = rows[keep]
+    del rows, keep
+    return str(text.data, "ascii")
 
 
 def _attractor_bits(n, states, ends, newline):

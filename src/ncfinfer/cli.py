@@ -244,9 +244,9 @@ def cmd_enumerate(args):
 
 
 def _dynamics_payload(space, inputs):
-    # the attractors are rendered from the flat cycle arrays, never as a
-    # Python object per cycle
-    from ._engine import _attractor_bits
+    # the attractors and the component sizes are rendered from arrays,
+    # never as a Python object per cycle or component
+    from ._engine import _attractor_bits, _decimal
 
     n = space.n
     return {
@@ -259,11 +259,21 @@ def _dynamics_payload(space, inputs):
             _attractor_bits(n, space.cycle_states, space.cycle_ends, "\n  ")
         ),
         "component_sizes": _RawJSON(
-            "[\n    "
-            + ",\n    ".join(map(int.__repr__, space.component_sizes))
-            + "\n  ]"
+            "[\n    " + _decimal(space._sizes, ",\n    ") + "\n  ]"
         ),
     }
+
+
+def _dynamics_summary(space):
+    """The stdout line of ``dynamics``, its cycle lengths rendered from
+    their array."""
+    from ._engine import _cycle_lengths, _decimal
+
+    lengths = _decimal(_cycle_lengths(space.cycle_ends), ", ")
+    return (
+        f"{1 << space.n} states, {space.component_count} components, "
+        f"attractor lengths [{lengths}]\n"
+    )
 
 
 def cmd_dynamics(args):
@@ -275,10 +285,6 @@ def cmd_dynamics(args):
     courses, digests = _load_course_args(args)
     courses = [states_as_ints(wiring, c) for c in courses]
     space = phase_space(net)
-    # phase_space has loaded numpy by now; a run whose wiring, rules or
-    # time courses fail to parse never imports it
-    from ._engine import _cycle_lengths
-
     payload = _dynamics_payload(
         space, {"wiring_sha256": wiring_digest, "rules_sha256": rules_digest}
     )
@@ -287,10 +293,7 @@ def cmd_dynamics(args):
         payload["trajectory_component_sizes"] = [
             trajectory_component_size(space, c) for c in courses
         ]
-    sys.stdout.write(
-        f"{1 << space.n} states, {space.component_count} components, "
-        f"attractor lengths {_cycle_lengths(space.cycle_ends)}\n"
-    )
+    sys.stdout.write(_dynamics_summary(space))
     if args.out:
         _write_outputs(args.out, {"dynamics.json": _json_chunks(payload)})
     return 0

@@ -9,11 +9,14 @@ that cycle.
 Phase spaces are computed fully (capped at n <= 24 nodes) with flat
 numpy arrays and no Python loop over states:
 
-* the successor map is built node by node by a shift select: each node's
-  truth table packed into a 32-bit word (a word per 32 entries above
-  arity 5) is shifted right by every state's index into the table, built
-  by doubling over the state bits, and the low bit is moved to the
-  node's place;
+* the successor map is built node by node in uint8 byte lanes: each
+  node's truth table, packed into its narrowest word (uint8 up to arity
+  3, uint16 at arity 4, a 32-bit word per 32 entries above), is shifted
+  right by every state's index into the table, built by doubling over the
+  state bits; the low bit is multiplied to bit i % 8 and ORed into lane
+  i // 8, and the at most 4 lanes are stored into the uint32 map once.
+  A node's bits repeat with the period of its last regulator's bit, so
+  they are selected on one period and ORed into every period at once;
 * doubling land = f^m, m = 1, 2, 4, ..., lands every state on its
   attractor cycle, and stops once the image of f^m stops shrinking, when
   that image is exactly the set of cycle states;
@@ -23,13 +26,17 @@ numpy arrays and no Python loop over states:
 
 The cycles are kept as two flat uint32 arrays: every cycle state in
 report order, and where each cycle ends.  The tuples ``attractors`` and
-``component_sizes`` of a ``PhaseSpace`` are built on first access, and the
-``dynamics`` report is rendered from the arrays, so no Python object per
-cycle exists unless a caller asks for one.  Measured with tracemalloc at
-n = 20, the analysis peaks at 17 bytes per state when few states lie on
-cycles, about 290 MB at n = 24, and at 30 bytes per state when every state
-is a fixed point, about 500 MB at n = 24.  Building ``attractors`` then
-peaks at 136 bytes per cycle state and keeps 84.
+``component_sizes`` of a ``PhaseSpace`` are built on first access, the
+sizes from one ``bincount`` array that the ``dynamics`` report shares.
+The report renders the attractors, the component sizes and the stdout
+list of cycle lengths straight from the arrays, so no Python object per
+cycle or component exists unless a caller asks for one.  Measured with
+tracemalloc at n = 20, the map of tables up to arity 5 is built within
+4 + ceil(n / 8) bytes per state, and the analysis peaks at 17 bytes per
+state when few states lie on cycles, about 290 MB at n = 24, and at 30
+bytes per state when every state is a fixed point, about 500 MB at
+n = 24.  Building ``attractors`` then peaks at 136 bytes per cycle state
+and keeps 84.
 
 ``phase_space`` builds its map with the plan that ``sample_ensemble``
 uses (below), as an ensemble of one network whose every node has a
@@ -178,6 +185,12 @@ class PhaseSpace(
 
     @cached_property
     def component_sizes(self):
+        return tuple(self._sizes.tolist())
+
+    @cached_property
+    def _sizes(self):
+        """The component sizes as one array, which the report renders and
+        the ``component_sizes`` tuple is built from."""
         from ._engine import _component_sizes
 
         return _component_sizes(self)
@@ -252,7 +265,7 @@ def trajectory_component_size(space, trajectory):
             "trajectory states fall in different components",
             components=sorted(labels),
         )
-    return space.component_sizes[labels.pop()]
+    return space._sizes[labels.pop()].item()
 
 
 class EnsembleStats(NamedTuple):

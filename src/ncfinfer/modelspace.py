@@ -175,9 +175,19 @@ class ModelSpace(NamedTuple):
             yield TruthTable.from_int(self.arity, table(assign), allow_big=True)
 
     def sample(self, rng):
-        """One fitting function uniformly at random (rng: random.Random)."""
-        _, draw, table = self._sampler()
-        return TruthTable.from_int(self.arity, table(draw(rng)), allow_big=True)
+        """One fitting function uniformly at random (rng: random.Random).
+
+        Takes the random bits ``_sampler()``'s draw takes, and scatters
+        them over the unobserved points directly: one draw does not pay
+        for the sampler's lookup tables.
+        """
+        bits = self.data._value_bits
+        if self.unseen:
+            assign = rng.getrandbits(len(self.unseen))
+            for idx in self.unseen:
+                bits |= (assign & 1) << idx
+                assign >>= 1
+        return TruthTable.from_int(self.arity, bits, allow_big=True)
 
     def _sampler(self):
         """The fitting functions as table ints, ``(count, draw, table)``.

@@ -16,7 +16,7 @@ import ncfinfer
 import oracles
 from ncfinfer import _engine, cli, formats
 from ncfinfer import ncf as ncf_module
-from ncfinfer._engine import _analyze, _attractor_bits, _cycle_lengths
+from ncfinfer._engine import _analyze, _attractor_bits, _decimal
 from ncfinfer.cli import run
 from ncfinfer.datasets import yeast_timecourse_path, yeast_wiring_path
 from ncfinfer.errors import ParseError
@@ -245,10 +245,28 @@ def test_dynamics_report_matches_the_oracle(graph, block):
         "attractors": [[_state_word(n, s) for s in cycle] for cycle in cycles],
     }
     assert report == json.dumps(expected, indent=2, sort_keys=True) + "\n"
-    assert _cycle_lengths(space.cycle_ends) == [len(c) for c in cycles]
+    # the stdout line renders the cycle lengths from their array
+    assert cli._dynamics_summary(space) == (
+        f"{1 << n} states, {len(cycles)} components, "
+        f"attractor lengths {str([len(c) for c in cycles])}\n"
+    )
     # at depth 0 the attractor list alone is the stdlib's whole rendering
     assert alone == json.dumps(expected["attractors"], indent=2)
-    assert "attractors" not in vars(space)  # the cached tuples stay unbuilt
+    # the cached tuples stay unbuilt
+    assert "attractors" not in vars(space)
+    assert "component_sizes" not in vars(space)
+
+
+@pytest.mark.parametrize("sep", [", ", ",\n    "])
+def test_decimal_matches_str_join_at_digit_boundaries(sep):
+    # every power of ten and the value below it, up to 2^24 states
+    edges = sorted({1, 1 << 24} | {
+        v for d in range(1, 8) for v in (10 ** d - 1, 10 ** d)
+    })
+    for values in (edges, edges[::-1], [7], [1 << 24], [10] * 5, [1] * 9):
+        for dtype in (np.int64, np.uint32):
+            array = np.array(values, dtype=dtype)
+            assert _decimal(array, sep) == sep.join(map(str, values))
 
 
 def test_dynamics_leaves_the_attractor_tuples_unbuilt(
@@ -270,7 +288,9 @@ def test_dynamics_leaves_the_attractor_tuples_unbuilt(
         "2048 states, 4 components, attractor lengths [1, 1, 1, 2]\n"
     )
     (space,) = spaces
+    # the course's size comes from the sizes array, not from the tuple
     assert "attractors" not in vars(space)
+    assert "component_sizes" not in vars(space)
     payload = json.loads((tmp_path / "out" / "dynamics.json").read_text())
     assert [len(c) for c in payload["attractors"]] == [1, 1, 1, 2]
     # the property still builds the tuples on request, matching the report

@@ -214,6 +214,37 @@ def test_successor_map_matches_step_on_wide_tables():
                 assert succ[(s << n) + m] == (s << n) + phase[m]
 
 
+def test_successor_map_matches_step_across_byte_lanes():
+    # 17-20 nodes fill three byte lanes of the base array.  The nodes at
+    # the lane edges, i = 7, 8, 15 and 16, take every arity 0..10 between
+    # them: the uint8 table word up to arity 3, the uint16 word at 4,
+    # 32-bit words above, several words from 6 on and the uint16 local
+    # index from 9 on.  Their last regulators fall below and above bit 10,
+    # so some bits repeat with a period shorter than the map
+    rng = random.Random(1718)
+    arities = itertools.cycle(range(11))
+    for n in range(17, 21):
+        edges = {i: next(arities) for i in (7, 8, 15, 16)}
+        regulators = [
+            rng.sample(range(n), edges.get(i, rng.randint(0, 3)))
+            for i in range(n)
+        ]
+        wiring = WiringDiagram(
+            [f"n{i}" for i in range(n)], regulators, allow_big=True
+        )
+        net = BooleanNetwork(wiring, [
+            TruthTable.from_int(
+                len(regs), rng.getrandbits(1 << len(regs)), allow_big=True
+            )
+            for regs in regulators
+        ])
+        succ = phase_space(net).successor
+        assert succ.dtype == np.uint32
+        for m in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(2000)]:
+            state = [(m >> i) & 1 for i in range(n)]
+            assert succ[m] == point_to_index(step(net, state))
+
+
 def _shaped_maps(rng, n):
     size = 1 << n
     perm = list(range(size))

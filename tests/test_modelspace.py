@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 
@@ -178,7 +179,8 @@ def test_model_space_sample_fits_and_is_deterministic():
 
 
 @pytest.mark.parametrize(
-    "arity, free", [(3, 0), (3, 1), (4, 8), (4, 9), (5, 17), (6, 0), (6, 9), (7, 100)]
+    "arity, free",
+    [(3, 0), (3, 1), (4, 8), (4, 9), (5, 17), (5, 20), (6, 0), (6, 9), (7, 100)],
 )
 def test_int_sampler_matches_sample(arity, free):
     rng = random.Random(arity * 100 + free)
@@ -199,6 +201,9 @@ def test_int_sampler_matches_sample(arity, free):
         expected = oracles.scatter_draw(arity, pairs, theirs)
         assert table(draw(ours)) == space.sample(sampled).to_int() == expected
         assert ours.getstate() == sampled.getstate() == theirs.getstate()
+    # one draw scatters its bits itself and builds no lookup tables
+    with mock.patch.object(ModelSpace, "_sampler", side_effect=AssertionError):
+        space.sample(random.Random(0))
     if free <= 9:
         # the assignment is the row of its table in the materialized order
         expected = [oracles.scatter(arity, pairs, a) for a in range(count)]
