@@ -425,12 +425,22 @@ def _attractor_bits(n, states, ends, newline):
     octets = states.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)
     rows[:, :n] = np.unpackbits(octets, axis=1, count=n, bitorder="little")
     rows[:, :n] += ord("0")
-    rows[:, n:] = np.frombuffer(within.ljust(len(between)), dtype=np.uint8)
-    keep = np.zeros(rows.shape, dtype=bool)
-    keep[:, :n + len(within)] = True
-    last = ends[:-1] - 1
-    rows[last, n:] = np.frombuffer(between, dtype=np.uint8)
-    keep[last, n:] = True
+    seps = np.frombuffer(within.ljust(len(between)) + between, dtype=np.uint8)
+    seps = seps.reshape(2, -1)
+    # Every row is filled with the separator most states take, the
+    # between-cycle one when most states end their cycle, as fixed points
+    # do, and the other states are then rewritten: that costs per row, so
+    # it runs on the fewer rows either way.
+    usual = 2 * len(ends) > len(states)
+    other = np.flatnonzero(_mark(len(states), ends - 1) != usual)
+    rows[:, n:] = seps[int(usual)]
+    rows[other, n:] = seps[int(not usual)]
+    keep = np.ones(rows.shape, dtype=bool)
+    tail = keep[:, n + len(within):]  # the bytes only the between-cycle one has
+    if not usual:
+        tail[:] = False
+    tail[other] = not usual
+    del other, tail
     keep[-1, n:] = False
     text = rows[keep]
     del rows, keep

@@ -82,9 +82,27 @@ chunk analysis adds at most 34 bytes, when every state is a fixed point:
 the identity network at n = 20 peaks at 44 bytes per state under
 tracemalloc in either mode (every node in the base array, or every node
 on the shift select), about 0.75 GB at n = 24.
+
+The chunks run in W worker processes, W the number of CPUs this process
+may use (``os.sched_getaffinity``, else ``os.cpu_count``) but at most one
+per chunk.  Once the plan is built, ``sample_ensemble`` forks W - 1
+children, which share its arrays copy-on-write; each draws and analyzes
+a contiguous slice of the chunks and sends its statistics back through a
+pipe, while the caller's process runs the first slice.  A child that
+fails or sends short data has its slice run again by the caller, so an
+error surfaces in sample order with its own type.  W is 1, and nothing
+is forked, when ``os.fork`` is missing, when another thread is alive
+(a child forked from a threaded process can deadlock), and when 2^n
+exceeds ENSEMBLE_STATES: a chunk is then one large network, and the
+bounds above hold as stated.  Otherwise each worker adds its own chunk
+analysis, at most 34 bytes per state of one chunk of ENSEMBLE_STATES
+states (about 2.2 MB), and the pages it copies on write.
 """
 
+import os
 import random
+import struct
+import threading
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, NamedTuple
 
@@ -308,8 +326,16 @@ def _node_sampler(rec, mode):
     if mode == "ncf":
         ints = rec.ncfs.to_ints()
         if ints:
-            count = len(ints)
-            return count, lambda rng: rng.randrange(count), ints.__getitem__
+            count, width = len(ints), len(ints).bit_length()
+
+            def draw(rng):
+                # rng.randrange(count), with the same bits and rejections
+                row = rng.getrandbits(width)
+                while row >= count:
+                    row = rng.getrandbits(width)
+                return row
+
+            return count, draw, ints.__getitem__
         forced = rec.forced
         if forced is not None:
             return 1, _draw_nothing, (forced.to_int(),).__getitem__
@@ -330,6 +356,85 @@ def _check_sampling(samples, seed):
         raise ValueError("seed must be nonnegative")
 
 
+def _worker_count(n, chunks):
+    """How many processes run ``sample_ensemble``'s ``chunks`` chunks of
+    ``n``-node samples: one per CPU this process may use, at most one per
+    chunk.  It is one when ``os.fork`` is missing, when another thread is
+    alive, since a child forked from a threaded process can deadlock, and
+    when a chunk is one network of more than ENSEMBLE_STATES states, whose
+    analysis is then large enough to keep to one at a time."""
+    if (not hasattr(os, "fork") or threading.active_count() > 1
+            or 1 << n > ENSEMBLE_STATES):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, chunks)
+
+
+def _forked(run, parts, lengths):
+    """``[run(part) for part in parts]``, where ``run(part)`` returns a list
+    of ``lengths[k]`` ints of the int64 range, for part ``parts[k]``.
+
+    Every part but the first runs in a child forked before any part runs,
+    so the children share the caller's arrays copy-on-write; this process
+    runs the first part, then reads each child's list from its pipe to
+    end of file and reaps it.  A child leaves only through ``os._exit``
+    and never raises into the caller.  Where a child exits nonzero, sends
+    short data or cannot be forked, this process runs its part itself, so
+    any error a part raises surfaces in part order with its own type.  If
+    this process raises, every child still running is killed and reaped.
+    """
+    children, pipes = {}, {}  # part number -> child pid, read end of its pipe
+    try:
+        for k in range(1, len(parts)):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: the part runs here
+                os.close(r)
+                os.close(w)
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    values = run(parts[k])
+                    data = memoryview(struct.pack(f"{len(values)}q", *values))
+                    while data:
+                        data = data[os.write(w, data):]
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children[k], pipes[k] = pid, r
+        results = [run(parts[0])]
+        for k in range(1, len(parts)):
+            values = None
+            if k in children:
+                blocks = []
+                while block := os.read(pipes[k], 1 << 16):
+                    blocks.append(block)
+                os.close(pipes.pop(k))
+                status = os.waitpid(children[k], 0)[1]
+                del children[k]
+                data = b"".join(blocks)
+                if status == 0 and len(data) == 8 * lengths[k]:
+                    values = memoryview(data).cast("q").tolist()
+            results.append(run(parts[k]) if values is None else values)
+        return results
+    finally:
+        for r in pipes.values():
+            os.close(r)
+        if children:  # left only by an error; signal loads only then
+            from signal import SIGKILL
+
+            for pid in children.values():
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def sample_ensemble(result, samples, seed, mode):
     """Statistics over networks drawn from a node-wise uniform ensemble.
 
@@ -342,13 +447,16 @@ def sample_ensemble(result, samples, seed, mode):
 
     Sample j uses the Mersenne Twister seeded with seed * 2**32 + j and
     draws node by node in wiring order, so output is a pure function of
-    (seed, mode, samples, result).  Samples are drawn in this order and
-    analyzed in chunks of up to ENSEMBLE_STATES states, one pass per
-    chunk; neither the chunking nor the cached successor columns change
-    a draw or a result.  Every time course
-    must lie in one component of every sample, or ``InvariantViolation``
-    names the components it spans in the first such sample.  The
-    reference trajectory is the first time course.
+    (seed, mode, samples, result).  Samples are analyzed in chunks of up
+    to ENSEMBLE_STATES states, one pass per chunk, and the chunks are
+    split into contiguous slices among one worker process per CPU this
+    process may use (forked children beside this process; see the module
+    docstring for when only this process runs, and for memory per
+    worker).  Neither the chunking, the workers nor the cached successor
+    columns change a draw or a result.  Every time course must lie in one
+    component of every sample, or ``InvariantViolation`` names the
+    components it spans in the first such sample.  The reference
+    trajectory is the first time course.
     """
     _check_sampling(samples, seed)
     covered = {rec.name for rec in result.nodes}
@@ -375,16 +483,29 @@ def sample_ensemble(result, samples, seed, mode):
     )
 
     chunk = max(1, ENSEMBLE_STATES >> n)
-    comp_counts, traj_sizes, largest = [], [], []
-    for start in range(0, samples, chunk):
-        rows = []
-        for j in range(start, min(start + chunk, samples)):
-            rng = random.Random((seed << 32) + j)
-            rows.append([draw(rng) for draw in draws])
-        counts, sizes, biggest = _ensemble_chunk(n, plan, rows, courses)
-        comp_counts += counts
-        traj_sizes += sizes
-        largest += biggest
+    starts = range(0, samples, chunk)
+
+    def run(part):
+        # three ints for each sample of the chunks starting at ``part``: its
+        # component count, trajectory size and largest component size
+        out = []
+        for start in part:
+            rows = []
+            for j in range(start, min(start + chunk, samples)):
+                rng = random.Random((seed << 32) + j)
+                rows.append([draw(rng) for draw in draws])
+            for triple in zip(*_ensemble_chunk(n, plan, rows, courses)):
+                out += triple
+        return out
+
+    workers = _worker_count(n, len(starts))
+    parts = [
+        starts[k * len(starts) // workers:(k + 1) * len(starts) // workers]
+        for k in range(workers)
+    ]
+    lengths = [3 * (min(p[-1] + chunk, samples) - p[0]) for p in parts]
+    flat = [x for values in _forked(run, parts, lengths) for x in values]
+    comp_counts, traj_sizes, largest = flat[0::3], flat[1::3], flat[2::3]
 
     not_largest = [size for size, big in zip(traj_sizes, largest) if size < big]
     width = max(1, (1 << n) // HISTOGRAM_BINS)

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from ncfinfer.datasets import load_yeast
@@ -19,3 +21,17 @@ def yeast():
 def yeast_result(yeast):
     wiring, course = yeast
     return infer_all(wiring, course)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    # sample_ensemble forks workers: every test must leave each child it
+    # made reaped, so this process has none, running or exited
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind (pid {pid or 'still running'})")

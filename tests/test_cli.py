@@ -572,6 +572,25 @@ def test_inference_commands_do_not_import_numpy():
     )
 
 
+def test_sample_loads_no_process_pool():
+    # the ensemble's workers are plain forks: 100 yeast samples make four
+    # chunks, so with two CPUs or more the run forks
+    _run_fresh_python(
+        "import contextlib, io, sys\n"
+        "from ncfinfer.cli import run\n"
+        "from ncfinfer.datasets import yeast_timecourse_path, yeast_wiring_path\n"
+        "io_ = ['--wiring', str(yeast_wiring_path()),\n"
+        "       '--timecourse', str(yeast_timecourse_path())]\n"
+        "for mode in ('ncf', 'unrestricted'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        argv = ['sample', *io_, '--mode', mode, '-m', '100', '--seed', '1']\n"
+        "        assert run(argv) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+    )
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # the package's records are NamedTuples, so start-up imports neither
     _run_fresh_python(

@@ -1,7 +1,11 @@
 import copy
+import errno
 import itertools
 import json
+import os
 import random
+import threading
+import time
 import tracemalloc
 import typing
 from unittest import mock
@@ -450,6 +454,14 @@ def test_sample_ensemble_argument_validation(yeast_result):
         sample_ensemble(yeast_result, 1, 1, "bogus")
 
 
+def _cpus(count):
+    """Let this process use ``count`` CPUs, so that ``sample_ensemble`` runs
+    its chunks in up to that many processes."""
+    return mock.patch.object(
+        os, "sched_getaffinity", lambda pid: set(range(count)), create=True
+    )
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
     consistent_instances(max_nodes=6, max_k=3, ncf_rules=True),
@@ -473,8 +485,9 @@ def test_batched_ensemble_matches_per_sample_phase_spaces(
         outputs.append(real(*args))
         return outputs[-1]
 
+    # one CPU: every chunk runs in this process, where its calls are seen
     with mock.patch.object(dynamics_module, "ENSEMBLE_STATES", budget), \
-            mock.patch.object(_engine, "_ensemble_chunk", recorded):
+            mock.patch.object(_engine, "_ensemble_chunk", recorded), _cpus(1):
         stats = sample_ensemble(result, samples, seed, mode)
     assert len(outputs) == -(-samples // max(1, budget >> n))
     counts, sizes, largest = (
@@ -568,13 +581,15 @@ def test_ensemble_plan_keeps_to_its_budget():
 
 
 def _inject_networks(monkeypatch, wiring, networks):
-    """Make sample j of the next ``sample_ensemble`` call ``networks[j]``:
-    node i draws from the networks' i-th tables, row j at its j-th draw."""
+    """Make sample j of the next ``sample_ensemble`` call with seed 0
+    ``networks[j]``: node i draws from the networks' i-th tables, row j
+    from sample j's generator, which no draw advances, so that a chunk
+    draws the same in a forked child as in this process."""
+    sample_of = {random.Random(j).getstate(): j for j in range(len(networks))}
 
     def node_sampler(rec, mode):
         ints = [tables[wiring.index(rec.name)].to_int() for tables in networks]
-        draws = itertools.count()
-        return len(ints), lambda rng: next(draws), ints.__getitem__
+        return len(ints), lambda rng: sample_of[rng.getstate()], ints.__getitem__
 
     monkeypatch.setattr(dynamics_module, "_node_sampler", node_sampler)
 
@@ -608,6 +623,8 @@ def test_ensemble_chunks_of_permutations_and_constants_match_the_oracle(
     networks = list(_ring_networks(n, random.Random(n)))
     budget = dynamics_module.ENSEMBLE_STATES if chunk is None else chunk << n
     monkeypatch.setattr(dynamics_module, "ENSEMBLE_STATES", budget)
+    # one CPU: every chunk runs in this process, where its calls are seen
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     real = _engine._ensemble_chunk
     # every column cached, then every node on the shift select
     for cache in (dynamics_module.ENSEMBLE_CACHE_BYTES, 0):
@@ -653,8 +670,9 @@ def test_ensemble_chunks_analyze_only_the_image(yeast_result):
         analyzed.append(len(succ))
         return real_components(succ, n)
 
+    # one CPU: every chunk runs in this process, where its calls are seen
     with mock.patch.object(_engine, "_ensemble_successors", successor_map), \
-            mock.patch.object(_engine, "_components", components):
+            mock.patch.object(_engine, "_components", components), _cpus(1):
         for mode in ("ncf", "unrestricted"):
             sample_ensemble(yeast_result, 100, 4, mode)
     assert len(analyzed) == 2 * 4  # 100 samples of 11 nodes: 4 chunks a mode
@@ -675,6 +693,191 @@ def test_sample_ensemble_catches_a_course_split_across_components(monkeypatch):
     # samples 0-2 have two components each, sample 3 four fixed points;
     # the ids are sample 3's own, counted from its first component
     assert caught.value.context == {"components": [0, 3]}
+
+
+def _counting_forks():
+    """A list of the ``os.fork`` calls made in this process, and the patch
+    that records them."""
+    forks, real = [], os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real()
+
+    return forks, mock.patch.object(os, "fork", fork)
+
+
+def _no_fork():
+    def fork():
+        raise AssertionError("sample_ensemble forked")
+
+    return mock.patch.object(os, "fork", fork)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    consistent_instances(max_nodes=6, max_k=3, ncf_rules=True),
+    st.integers(1, 40),
+    st.integers(0, 2**40),
+    st.sampled_from([1, 3, 7]),
+)
+def test_ensemble_stats_do_not_depend_on_the_worker_count(
+    instance, samples, seed, chunk
+):
+    # chunks of `chunk` samples, split among 1, 2 and 3 processes
+    result = infer_all(*instance)
+    n = len(instance[0].nodes)
+    chunks = -(-samples // chunk)
+    with mock.patch.object(dynamics_module, "ENSEMBLE_STATES", chunk << n):
+        for mode in ("ncf", "unrestricted"):
+            stats = []
+            for workers in (1, 2, 3):
+                forks, counting = _counting_forks()
+                with _cpus(workers), counting:
+                    stats.append(sample_ensemble(result, samples, seed, mode))
+                assert len(forks) == min(workers, chunks) - 1
+            assert stats[0] == stats[1] == stats[2]
+
+
+def _split_courses(monkeypatch, split):
+    """An ensemble of 8 two-node samples, one a chunk, and the networks it
+    draws: both nodes negate, except at the samples ``split`` maps to
+    "both" (two fixed points split the course 00 -> 11, at components 0
+    and 3) or "one" (two 2-cycles split it, at components 0 and 1)."""
+    wiring = WiringDiagram(["A", "B"], [[0], [1]])
+    result = infer_all(wiring, TimeCourse(["A", "B"], [[0, 0], [1, 1]]))
+    kinds = {"both": [IDENTITY1] * 2, "one": [IDENTITY1, NEGATION1]}
+    networks = [kinds[split[j]] if j in split else [NEGATION1] * 2 for j in range(8)]
+    _inject_networks(monkeypatch, wiring, networks)
+    monkeypatch.setattr(dynamics_module, "ENSEMBLE_STATES", 1 << 2)
+    return result
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_course_split_in_a_child_raises_as_in_one_process(monkeypatch, workers):
+    # sample 5 lies in the last process's part: chunks 4-7 of two parts,
+    # 5-7 of three
+    result = _split_courses(monkeypatch, {5: "both"})
+    with _cpus(1), pytest.raises(InvariantViolation) as alone:
+        sample_ensemble(result, 8, 0, "ncf")
+    forks, counting = _counting_forks()
+    with _cpus(workers), counting, pytest.raises(InvariantViolation) as forked:
+        sample_ensemble(result, 8, 0, "ncf")
+    assert len(forks) == workers - 1
+    assert forked.value.context == alone.value.context == {"components": [0, 3]}
+
+
+@pytest.mark.parametrize(
+    "workers, first, later",
+    [(2, 1, 6), (3, 1, 6), (3, 3, 6)],
+    ids=["parent-child", "parent-child2", "child1-child2"],
+)
+def test_the_first_split_course_wins_across_processes(
+    monkeypatch, workers, first, later
+):
+    # with three processes the parts are chunks 0-1, 2-4 and 5-7
+    result = _split_courses(monkeypatch, {first: "one", later: "both"})
+    with _cpus(workers), pytest.raises(InvariantViolation) as caught:
+        sample_ensemble(result, 8, 0, "ncf")
+    assert caught.value.context == {"components": [0, 1]}
+
+
+def test_an_error_here_kills_the_children(monkeypatch):
+    # sample 1, in this process's part, splits the course while the child
+    # would take a minute over its part: the error comes at once, and the
+    # child is killed and reaped
+    result = _split_courses(monkeypatch, {1: "both"})
+    parent, real = os.getpid(), _engine._ensemble_chunk
+
+    def chunk(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return real(*args)
+
+    start = time.monotonic()
+    with _cpus(2), mock.patch.object(_engine, "_ensemble_chunk", chunk), \
+            pytest.raises(InvariantViolation):
+        sample_ensemble(result, 8, 0, "ncf")
+    assert time.monotonic() - start < 30
+
+
+@pytest.mark.parametrize("fault", ["die", "exit", "short"])
+def test_a_failed_child_leaves_the_stats_unchanged(yeast_result, fault):
+    # the child dies with status 3 in its first chunk, exits with status 3
+    # after sending all its data, or exits cleanly after sending each chunk
+    # one sample short; this process then runs the child's part itself
+    parent, real_chunk, real_exit = os.getpid(), _engine._ensemble_chunk, os._exit
+    here = []
+
+    def chunk(*args):
+        out = real_chunk(*args)
+        if os.getpid() == parent:
+            here.append(len(args[2]))
+        elif fault == "die":
+            real_exit(3)
+        elif fault == "short":
+            out = [field[:-1] for field in out]
+        return out
+
+    def exit_(code):
+        real_exit(3 if fault == "exit" else code)
+
+    with _cpus(1):
+        expected = sample_ensemble(yeast_result, 100, 5, "ncf")
+    forks, counting = _counting_forks()
+    with _cpus(2), counting, mock.patch.object(_engine, "_ensemble_chunk", chunk), \
+            mock.patch.object(os, "_exit", exit_):
+        assert sample_ensemble(yeast_result, 100, 5, "ncf") == expected
+    assert len(forks) == 1
+    assert sum(here) == 100  # the child's samples too
+
+
+def test_a_fork_that_fails_runs_its_part_here(yeast_result):
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    with _cpus(1):
+        expected = sample_ensemble(yeast_result, 100, 6, "unrestricted")
+    with _cpus(3), mock.patch.object(os, "fork", fork):
+        assert sample_ensemble(yeast_result, 100, 6, "unrestricted") == expected
+
+
+def test_no_fork_when_a_sample_outgrows_a_chunk():
+    # past 16 nodes every chunk is one network of 2^17 states or more
+    n = 17
+    wiring = WiringDiagram([f"n{i}" for i in range(n)], [[i] for i in range(n)])
+    state = [i % 2 for i in range(n)]
+    result = infer_all(wiring, TimeCourse(wiring.nodes, [state, state]))
+    with _cpus(2):
+        assert dynamics_module._worker_count(16, 2) == 2
+        assert dynamics_module._worker_count(n, 2) == 1
+        with _no_fork():
+            stats = sample_ensemble(result, 2, 0, "ncf")
+    assert stats.component_counts == (1 << n, 1 << n)
+
+
+def test_no_fork_while_another_thread_runs(yeast_result):
+    with _cpus(1):
+        expected = sample_ensemble(yeast_result, 100, 2, "ncf")
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        with _cpus(2), _no_fork():
+            stats = sample_ensemble(yeast_result, 100, 2, "ncf")
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert stats == expected
+
+
+def test_no_fork_without_os_fork(yeast_result, monkeypatch):
+    with _cpus(1):
+        expected = sample_ensemble(yeast_result, 100, 2, "ncf")
+    monkeypatch.delattr(os, "fork")
+    with _cpus(2):
+        assert sample_ensemble(yeast_result, 100, 2, "ncf") == expected
 
 
 def test_records_are_tuples_of_their_fields(yeast_result):
