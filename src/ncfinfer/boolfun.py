@@ -16,7 +16,7 @@ representations and are inverse to each other.
 
 from functools import lru_cache
 from itertools import compress
-from operator import itemgetter
+from operator import add, itemgetter, xor
 
 from .errors import CapacityError
 
@@ -267,21 +267,76 @@ def essential_vars(table):
 
 @lru_cache(maxsize=None)
 def _monomial_order(arity):
-    # (format spec, picker, monomial texts) for rendering ANFs on `arity`
-    # variables.  Monomials go by degree and then by variable ids.  The
-    # picker takes a coefficient vector's binary string, which holds the
-    # coefficient of mask m at position 2**arity - 1 - m, and returns its
-    # entries in monomial order.  Its spare last index keeps the result a
-    # tuple even for one monomial; compress stops at the last text.
-    n = 1 << arity
-    monomials = sorted((sorted(index_to_subset(m)), m) for m in range(n))
+    # subset masks and texts of the monomials on `arity` variables, in
+    # print order: by degree, then by variable ids
+    monomials = sorted((sorted(index_to_subset(m)), m) for m in range(1 << arity))
     monomials.sort(key=lambda vm: len(vm[0]))
+    masks = tuple(m for _, m in monomials)
     texts = tuple("*".join(f"x{i}" for i in vs) or "1" for vs, _ in monomials)
-    picker = itemgetter(*(n - 1 - m for _, m in monomials), 0)
-    return f"0{n}b", picker, texts
+    return masks, texts
+
+
+def _byte_rows(units, zero, plus):
+    # rows[j][v] sums, by `plus` from `zero`, units[8j + i] over the set bits
+    # i of v: one row per byte of a packed int, padded to the 4 bytes of a
+    # table at SOFT_ARITY_CAP by rows that hold only the zero entry
+    rows = []
+    for j in range(0, len(units), 8):
+        row = [zero]
+        for u in units[j : j + 8]:
+            row += [plus(r, u) for r in row]
+        rows.append(tuple(row))
+    return rows + [(zero,)] * (4 - len(rows))
+
+
+@lru_cache(maxsize=None)
+def _anf_rows(arity):
+    # Per-byte tables that render the ANF of a table int at arity <=
+    # SOFT_ARITY_CAP, built on first use.  The ANF is linear over F2, so
+    # the ANF of a table is the XOR of its bytes' rows: row j of the first
+    # maps byte value v to the ANF of v << 8j, its monomials renumbered into
+    # print order (bit p is the p-th monomial printed).  Row j of the second
+    # maps byte j of a renumbered ANF to its monomials' texts, each led by
+    # " + ".
+    masks, texts = _monomial_order(arity)
+    units = []
+    for point in range(len(masks)):
+        c = xor_transform(1 << point, arity)
+        units.append(sum(1 << p for p, m in enumerate(masks) if (c >> m) & 1))
+    return _byte_rows(units, 0, xor), _byte_rows([" + " + t for t in texts], "", add)
+
+
+def _anf_text(bits, arity):
+    # anf_string of the ANF of the table packed in the int `bits`
+    if arity > SOFT_ARITY_CAP:
+        return _picked_text(xor_transform(bits, arity), arity)
+    (a0, a1, a2, a3), (t0, t1, t2, t3) = _anf_rows(arity)
+    r = a0[bits & 255] ^ a1[bits >> 8 & 255] ^ a2[bits >> 16 & 255] ^ a3[bits >> 24]
+    text = "".join((t0[r & 255], t1[r >> 8 & 255], t2[r >> 16 & 255], t3[r >> 24]))
+    return text[3:] or "0"
+
+
+@lru_cache(maxsize=None)
+def _picker(arity):
+    # (format spec, picker, monomial texts) for arities above
+    # SOFT_ARITY_CAP.  The picker takes a coefficient vector's binary
+    # string, which holds the coefficient of mask m at position
+    # 2**arity - 1 - m, and returns its entries in print order.  Its spare
+    # last index keeps the result a tuple even for one monomial; compress
+    # stops at the last text.
+    n = 1 << arity
+    masks, texts = _monomial_order(arity)
+    return f"0{n}b", itemgetter(*(n - 1 - m for m in masks), 0), texts
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _picked_text(c, arity):
+    # anf_string of the coefficient vector packed in the int c
+    spec, picker, texts = _picker(arity)
+    chosen = picker(format(c, spec).encode().translate(_BIT_BYTES))
+    return " + ".join(compress(texts, chosen)) or "0"
 
 
 def anf_string(coeffs):
@@ -291,14 +346,9 @@ def anf_string(coeffs):
     ids; variables inside a monomial appear in increasing order.  The zero
     polynomial renders as ``0``.  Output is deterministic.
     """
-    return _anf_text(coeffs.to_int(), coeffs.arity)
-
-
-def _anf_text(c, arity):
-    # anf_string of the coefficient vector packed in the int c
-    spec, picker, texts = _monomial_order(arity)
-    chosen = picker(format(c, spec).encode().translate(_BIT_BYTES))
-    return " + ".join(compress(texts, chosen)) or "0"
+    k = coeffs.arity
+    # the transform is its own inverse: these are the ANF of this table
+    return _anf_text(xor_transform(coeffs.to_int(), k), k)
 
 
 def parse_anf(text, arity, allow_big=False):

@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from math import prod
 from pathlib import Path
 
-from .boolfun import anf_string, tt_to_anf
+from .boolfun import _anf_text
 from .dynamics import (
     BooleanNetwork,
     _check_sampling,
@@ -126,14 +126,14 @@ def _infer_payload(result, digests):
                 "ncfs": rec.ncfs.anf_lines(),
                 "near_misses": [
                     {
-                        "anf": anf_string(tt_to_anf(t)),
+                        "anf": _anf_text(t.to_int(), t.arity),
                         "depends_on": sorted(ess),
                     }
                     for t, ess in rec.near_misses
                 ],
                 "forced_function": None
                 if rec.forced is None
-                else anf_string(tt_to_anf(rec.forced)),
+                else _anf_text(rec.forced.to_int(), rec.forced.arity),
             }
         )
     without = [rec.name for rec in result.nodes if len(rec.ncfs) == 0]
@@ -204,10 +204,12 @@ def cmd_infer(args):
 
 def _ncf_records_json(ncfs):
     # the list ncfs.json_records() renders to as the value of a top-level
-    # key, in one pass over the set's records; a witness tuple's list is
-    # rendered once, however many records share it.  An enumerated catalog
-    # is never empty, and its members carry their layer-structure witnesses.
-    lists = {}
+    # key, in one pass over the set's records, each record one f-string of
+    # cached pieces: an int list's text and a witness head (its inputs and
+    # order) are rendered once, however many records share them.  ANF text
+    # ([0-9x*+ ]) needs no JSON escaping.  An enumerated catalog is never
+    # empty, and its members carry their layer-structure witnesses.
+    lists, heads = {}, {}
 
     def int_list(t):
         if t not in lists:
@@ -216,13 +218,16 @@ def _ncf_records_json(ncfs):
         return lists[t]
 
     records = []
-    for bits, anf, w in ncfs._records():
-        order, inputs, outputs = map(int_list, w)
+    for bits, anf, (order, inputs, outputs) in ncfs._records():
+        head = heads.get((inputs, order))
+        if head is None:
+            head = heads[inputs, order] = (
+                f'\n      "witness_form": {{\n        "inputs": {int_list(inputs)},'
+                f'\n        "order": {int_list(order)},\n        "outputs": '
+            )
         records.append(
-            f'{{\n      "anf": {_encode_str(anf)},\n      "table": {bits},'
-            f'\n      "witness_form": {{\n        "inputs": {inputs},'
-            f'\n        "order": {order},\n        "outputs": {outputs}'
-            "\n      }\n    }"
+            f'{{\n      "anf": "{anf}",\n      "table": {bits},{head}'
+            f"{int_list(outputs)}\n      }}\n    }}"
         )
     return _RawJSON("[\n    " + ",\n    ".join(records) + "\n  ]")
 

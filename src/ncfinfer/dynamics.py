@@ -91,12 +91,19 @@ a contiguous slice of the chunks and sends its statistics back through a
 pipe, while the caller's process runs the first slice.  A child that
 fails or sends short data has its slice run again by the caller, so an
 error surfaces in sample order with its own type.  W is 1, and nothing
-is forked, when ``os.fork`` is missing, when another thread is alive
-(a child forked from a threaded process can deadlock), and when 2^n
-exceeds ENSEMBLE_STATES: a chunk is then one large network, and the
+is forked, when ``os.fork`` is missing, when another Python thread is
+alive (a child forked from a threaded process can deadlock), and when
+2^n exceeds ENSEMBLE_STATES: a chunk is then one large network, and the
 bounds above hold as stated.  Otherwise each worker adds its own chunk
 analysis, at most 34 bytes per state of one chunk of ENSEMBLE_STATES
 states (about 2.2 MB), and the pages it copies on write.
+
+Threads are counted by ``threading.active_count()``, which sees only
+threads that Python started.  A native pool such as OpenBLAS's, idle in
+a library caller that imports numpy without ``OPENBLAS_NUM_THREADS=1``,
+is not counted: forking beside it is tolerated, since OpenBLAS registers
+a fork handler that shuts its pool down before each fork, and the
+children call no BLAS routine.
 """
 
 import os
@@ -359,10 +366,13 @@ def _check_sampling(samples, seed):
 def _worker_count(n, chunks):
     """How many processes run ``sample_ensemble``'s ``chunks`` chunks of
     ``n``-node samples: one per CPU this process may use, at most one per
-    chunk.  It is one when ``os.fork`` is missing, when another thread is
-    alive, since a child forked from a threaded process can deadlock, and
-    when a chunk is one network of more than ENSEMBLE_STATES states, whose
-    analysis is then large enough to keep to one at a time."""
+    chunk.  It is one when ``os.fork`` is missing, when another Python
+    thread is alive (``threading.active_count()``), since a child forked
+    from a threaded process can deadlock, and when a chunk is one network
+    of more than ENSEMBLE_STATES states, whose analysis is then large
+    enough to keep to one at a time.  Native threads, such as an idle
+    OpenBLAS pool, are not counted; the module docstring says why forking
+    beside them is tolerated."""
     if (not hasattr(os, "fork") or threading.active_count() > 1
             or 1 << n > ENSEMBLE_STATES):
         return 1
@@ -451,12 +461,13 @@ def sample_ensemble(result, samples, seed, mode):
     to ENSEMBLE_STATES states, one pass per chunk, and the chunks are
     split into contiguous slices among one worker process per CPU this
     process may use (forked children beside this process; see the module
-    docstring for when only this process runs, and for memory per
-    worker).  Neither the chunking, the workers nor the cached successor
-    columns change a draw or a result.  Every time course must lie in one
-    component of every sample, or ``InvariantViolation`` names the
-    components it spans in the first such sample.  The reference
-    trajectory is the first time course.
+    docstring for when only this process runs, which threads count
+    against forking, and for memory per worker).  Neither the chunking,
+    the workers nor the cached successor columns change a draw or a
+    result.  Every time course must lie in one component of every
+    sample, or ``InvariantViolation`` names the components it spans in
+    the first such sample.  The reference trajectory is the first time
+    course.
     """
     _check_sampling(samples, seed)
     covered = {rec.name for rec in result.nodes}

@@ -31,7 +31,6 @@ from .boolfun import (
     _check_bits,
     tt_to_anf,
     variable_masks,
-    xor_transform,
 )
 from .errors import CapacityError
 
@@ -357,7 +356,7 @@ class NcfSet:
         """Canonical ANF strings, one per member, in member order."""
         if self._anf is None:
             k = self.arity
-            self._anf = tuple(_anf_text(xor_transform(b, k), k) for b in self._ints)
+            self._anf = tuple([_anf_text(b, k) for b in self._ints])
         return list(self._anf)
 
     def _records(self):

@@ -78,6 +78,19 @@ def anf_coeffs(values, k):
     return tuple(anf_coeff(values, s, k) for s in range(1 << k))
 
 
+def anf_text(values, k):
+    """ANF text of the function with value vector ``values``: each monomial
+    of ``anf_coeffs`` written as ``*``-joined ``x<i>`` in increasing i (the
+    constant as ``1``), sorted by degree and then by variable ids, and
+    joined by ``" + "``; ``"0"`` when there is none."""
+    coeffs = anf_coeffs(values, k)
+    monomials = sorted(
+        ([i + 1 for i in range(k) if (s >> i) & 1] for s in range(1 << k) if coeffs[s]),
+        key=lambda ids: (len(ids), ids),
+    )
+    return " + ".join("*".join(f"x{i}" for i in ids) or "1" for ids in monomials) or "0"
+
+
 def eval_anf(coeffs, point, k):
     """Evaluate an ANF at a point as an explicit XOR of monomials."""
     acc = 0

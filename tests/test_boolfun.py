@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ncfinfer.boolfun import (
     CoeffVector,
     TruthTable,
+    _anf_text,
     anf_string,
     anf_to_tt,
     essential_vars,
@@ -153,6 +156,38 @@ def test_anf_string():
         )
         expected = " + ".join("*".join(f"x{i}" for i in vs) or "1" for vs in monomials)
         assert anf_string(CoeffVector.from_int(5, bits)) == (expected or "0")
+
+
+def _values(bits, k):
+    return [(bits >> m) & 1 for m in range(1 << k)]
+
+
+def _rendered(bits, k):
+    # a table's ANF text, by the renderer the catalog and the infer report
+    # use, checked against the public route through its coefficients
+    text = _anf_text(bits, k)
+    table = TruthTable.from_int(k, bits, allow_big=True)
+    assert anf_string(tt_to_anf(table)) == text
+    return text
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_anf_text_matches_the_oracle_on_every_small_table(k):
+    for bits in range(1 << (1 << k)):
+        assert _rendered(bits, k) == oracles.anf_text(_values(bits, k), k)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, (1 << 32) - 1))
+def test_anf_text_matches_the_oracle_on_k5_tables(bits):
+    assert _rendered(bits, 5) == oracles.anf_text(_values(bits, 5), 5)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, (1 << 64) - 1))
+def test_anf_text_above_the_soft_cap_matches_the_oracle(bits):
+    # allow_big arities render through the digit picker
+    assert _rendered(bits, 6) == oracles.anf_text(_values(bits, 6), 6)
 
 
 def test_parse_anf_round_trip_exhaustive_k3():

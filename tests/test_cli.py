@@ -601,6 +601,23 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     )
 
 
+def test_cli_import_builds_no_anf_tables():
+    # the per-byte ANF tables are built on first use, so start-up never
+    # pays for them; the catalog builds those of its own arity, and still
+    # loads no numpy
+    _run_fresh_python(
+        "import contextlib, io, sys\n"
+        "import ncfinfer.cli\n"
+        "from ncfinfer import boolfun\n"
+        "assert boolfun._anf_rows.cache_info().currsize == 0\n"
+        "assert boolfun._monomial_order.cache_info().currsize == 0\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert ncfinfer.cli.run(['enumerate-ncfs', '5']) == 0\n"
+        "assert boolfun._anf_rows.cache_info().currsize == 1\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+
+
 def test_benchmark_tracer_installs_on_the_package():
     # perfbench/tracer.py wraps functions and methods of the package by
     # name, and its traced runs need every one to resolve

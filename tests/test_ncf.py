@@ -429,6 +429,14 @@ def test_catalog_lines_match_anf_string_every_small_census_member():
         assert [anf_to_tt(parse_anf(line, k)) for line in lines] == list(ncfs.members)
 
 
+def test_catalog_lines_match_the_oracle_on_every_k5_member():
+    # the oracle shares no code with the renderer that anf_lines and
+    # anf_string both use
+    ncfs = enumerate_ncfs(5)
+    for bits, line in zip(ncfs.to_ints(), ncfs.anf_lines()):
+        assert line == oracles.anf_text([(bits >> m) & 1 for m in range(32)], 5)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.integers(0, 10623))
 def test_catalog_lines_match_anf_string_k5_member(i):
