@@ -1,16 +1,6 @@
-"""The numpy kernel behind :mod:`ncfinfer.dynamics` and the attractor report.
-
-This is the only module of the package that imports numpy.  It is loaded
-on the first phase-space call (``phase_space``, ``sample_ensemble``, the
-``dynamics`` subcommand), so ``infer``, ``check`` and ``enumerate-ncfs``
-never pay for the numpy import.
-
-The analysis works on any functional graph, so a chunk of S sampled
-networks on one wiring is analyzed as one graph on S * 2^n states, sample
-s taking the states s * 2^n .. (s + 1) * 2^n - 1.  ``_components`` gets
-only the chunk's image, the states with a predecessor, renumbered by
-their position in it: the same routine ``phase_space`` runs, on a graph
-a fifth to a fiftieth of the size.
+"""The numpy kernel behind :mod:`ncfinfer.dynamics` and the ``dynamics``
+report: the only module that imports numpy, loaded on the first
+phase-space call.  The README's ``dynamics`` section describes its design.
 """
 
 import numpy as np
@@ -22,12 +12,9 @@ _BLOCK = 1 << 16  # index entries per np.take call or scatter
 
 
 def _gather(a, idx):
-    """``a[..., idx]``, through bounds-checked ``np.take``.
-
-    ``np.take`` is about twice as fast as fancy indexing, but copies its
-    index to intp first; taking at most 2^16 indices at a time keeps that
-    copy small.  Its default mode raises on an out-of-range index.
-    """
+    """``a[..., idx]``, through ``np.take``, about twice as fast as fancy
+    indexing and as bounds-checked; at most 2^16 indices a call keep its
+    intp copy of the index small."""
     if len(idx) <= _BLOCK:
         return np.take(a, idx, axis=-1)
     out = np.empty(a.shape[:-1] + idx.shape, dtype=a.dtype)
@@ -37,12 +24,9 @@ def _gather(a, idx):
 
 
 def _scatter(out, idx, values):
-    """``out[idx] = values``, returning ``out``.
-
-    The index goes to numpy as intp, 2^16 entries at a time: numpy
-    scatters a uint32 index about half as fast, and a whole intp copy
-    would take 8 bytes per entry.
-    """
+    """``out[idx] = values``, returning ``out``.  The index goes to numpy
+    as intp, which scatters twice as fast as uint32, 2^16 entries at a
+    time, where a whole intp copy would take 8 bytes per entry."""
     for lo in range(0, len(idx), _BLOCK):
         part = values if np.ndim(values) == 0 else values[lo:lo + _BLOCK]
         out[idx[lo:lo + _BLOCK].astype(np.intp)] = part
@@ -56,15 +40,10 @@ def _mark(size, idx):
 
 def _local_index(n, regs, idx=None):
     """The index of each state below 2^n into the truth table of a node
-    whose regulators ``regs`` all lie below bit n, in ``idx``.
-
-    The states 2^b .. 2^(b+1) - 1 are the states below 2^b with bit b
-    set, so the index is built by doubling: each step copies the filled
-    half and, when node b is the node's j-th regulator, sets bit j.  No
-    state-sized temporary is allocated: fresh pages for one per regulator
-    cost more than the copies.  ``idx``, uint8 (uint16 above arity 8) and
-    new if not given, is overwritten.
-    """
+    with regulators ``regs`` below bit n, into ``idx`` (new if not given:
+    uint8, uint16 above arity 8).  It is built by doubling, with no
+    state-sized temporary: fresh pages for one per regulator cost more
+    than the copies."""
     if idx is None:
         idx = np.empty(1 << n, dtype=np.uint8 if len(regs) <= 8 else np.uint16)
     place = {r: j for j, r in enumerate(regs)}
@@ -79,13 +58,9 @@ def _local_index(n, regs, idx=None):
 
 def _table_words(arity, ints, narrow=False):
     """Truth tables of one arity, given as ints, as rows of 32-bit words,
-    entry j at bit j % 32 of word j // 32: one word per table up to arity 5.
-
-    ``narrow`` takes the narrowest word that holds a table instead, uint8
-    up to arity 3 and uint16 at arity 4, for the uint8 selects of the
-    byte lanes.  The shift select into uint32 rows keeps 32-bit words,
-    which a uint8 word was about 10 % slower than on one-network chunks.
-    """
+    entry j at bit j % 32 of word j // 32.  ``narrow`` takes the narrowest
+    word that holds a table, for the byte lanes; the uint32 shift select
+    keeps 32-bit words, which a uint8 word was about 10 % slower than."""
     width = max(1 if narrow else 4, (1 << arity) >> 3)  # bytes per table
     packed = b"".join(bits.to_bytes(width, "little") for bits in ints)
     dtype = {1: np.uint8, 2: "<u2"}.get(width, "<u4")
@@ -96,11 +71,8 @@ def _shift_select(words, idx, place, out):
     """A node's successor bit at every state, times ``place``, into ``out``.
 
     ``words`` holds one table per row, or one table as a 1-d array, and
-    ``idx`` the node's local index.  The bit is the table word shifted
-    right by the local index and masked; a table of more than 32 entries
-    first selects each state's word.  The bit moves to its place by a
-    multiply: numpy shifts uint8 arrays by a scalar element by element,
-    at about five times the multiply's cost.
+    ``idx`` the node's local index.  The bit moves to its place by a
+    multiply: numpy shifts uint8 arrays by a scalar at five times the cost.
     """
     if words.shape[-1] > 1:
         words = _gather(words, idx >> 5)
@@ -114,19 +86,11 @@ def _shift_select(words, idx, place, out):
 
 def _base_map(n, regulators, singles):
     """The successor bits of the nodes ``singles``, pairs of a node i and
-    its table int, ORed into one uint32 array.
-
-    The array is built in byte lanes: node i's bit, selected from its
-    table's narrowest word into one reused uint8 buffer, goes to bit
-    i % 8 of lane i // 8, and the at most 4 lanes are stored into the
-    array once, at the end.  A node's bit depends only on the state bits
-    up to its last regulator, so it repeats every 2^m states, m past that
-    regulator's place: it is selected on the first 2^m states alone and
-    ORed into each 2^m-state row of its lane at once.  Rows are at least
-    2^10 states long, so that numpy's OR runs on long rows.  Nodes of
-    arity 8 or less share one reused uint8 local index; a wider node gets
-    a uint16 one of its own.  So a build whose tables fit one word, up to
-    arity 5, holds at most 4 + ceil(n / 8) bytes per state.
+    its table int, in one uint32 array: the successor map, when every node
+    is single.  Node i's bit goes to bit i % 8 of uint8 lane i // 8, on
+    one period of 2^m states, m past its last regulator but at least 10,
+    so that numpy's OR runs on long rows.  A build whose tables fit one
+    word, up to arity 5, holds at most 4 + ceil(n / 8) bytes per state.
     """
     lanes = np.zeros(((n + 7) >> 3, 1 << n), dtype=np.uint8)
     spare, bit = np.empty_like(lanes[0]), np.empty_like(lanes[0])
@@ -149,23 +113,15 @@ def _base_map(n, regulators, singles):
 
 def _ensemble_plan(n, regulators, nodes, budget, samples):
     """How ``_ensemble_successors`` builds the successor maps of an
-    ensemble of ``samples`` networks.
+    ensemble of ``samples`` networks, as ``(base, cached, shifted)``.
 
     ``nodes[i]`` is node i's ``(count, table)``: how many candidates it
-    draws from, and the table int of candidate ``row``.  A node's successor
-    bits depend only on the candidate it draws, so
-
-    * the bits of every single-candidate node go into one ``base`` array,
-      which ``_base_map`` builds in uint8 byte lanes;
-    * a node with no more candidates than samples, whose whole candidate
-      set fits what is left of ``budget`` bytes, smallest set first, gets
-      its ``(count, 2^n)`` uint32 matrix of shifted successor bits, one row
-      per candidate, computed once;
-    * every other node keeps its local index for the uint32 shift select,
-      which computes one row per sample.
-
-    ``phase_space`` plans one network whose every node has one candidate,
-    and its ``base`` array is that network's successor map.
+    draws from, and ``table(row)``, the table int of candidate ``row``.
+    ``base`` holds the bits of every single-candidate node.  A node with
+    no more candidates than samples, whose whole set fits what is left of
+    ``budget`` bytes, smallest set first, is in ``cached`` with its
+    ``(count, 2^n)`` matrix of shifted successor bits.  Every other node
+    is in ``shifted`` with its local index, for a shift select per sample.
     """
     base = _base_map(
         n, regulators, [(i, t(0)) for i, (c, t) in enumerate(nodes) if c == 1]
@@ -189,11 +145,8 @@ def _ensemble_plan(n, regulators, nodes, budget, samples):
 
 
 def _ensemble_successors(n, plan, rows):
-    """The successor maps of S sampled networks side by side, as one array.
-
-    ``rows[s][i]`` is the candidate node i drew in network s, and network
-    s's states are offset by s * 2^n.
-    """
+    """The successor maps of S sampled networks side by side, as one array:
+    ``rows[s][i]`` is node i's candidate in network s, offset by s * 2^n."""
     base, cached, shifted = plan
     succ = np.tile(base, (len(rows), 1))
     for i, matrix in cached:
@@ -208,12 +161,11 @@ def _ensemble_successors(n, plan, rows):
 
 
 def _cycle_components(succ, cycle):
-    """Component of each cycle state, and all cycle states in report order.
+    """Component of each cycle state, the cycle states in report order, and
+    where each cycle ends there, all uint32.
 
     ``cycle`` holds the sorted cycle states.  Components are numbered by
-    their smallest state, and each cycle is rotated to start there; the
-    second array lists the cycles one after another, cut at ``ends``.
-    Every array here is uint32, 4 bytes per cycle state.
+    their smallest state, and each cycle is rotated to start there.
     """
     nxt = np.searchsorted(cycle, _gather(succ, cycle)).astype(np.uint32)
     # Pointer jumping with a running minimum: after r rounds low[i] is the
@@ -253,19 +205,14 @@ def _cycle_components(succ, cycle):
 
 
 def _components(succ, n):
-    """Each state's component, and the cycles.
-
-    ``succ`` is any functional graph whose tails are shorter than 2^n
-    steps, such as S phase spaces of 2^n states each side by side.  The
-    cycles come as ``_cycle_components`` gives them.
-    """
+    """Each state's component, and the cycles as ``_cycle_components``
+    gives them, of any functional graph ``succ`` whose tails are shorter
+    than 2^n steps, such as S phase spaces of 2^n states side by side."""
     size = len(succ)
-    # Doubling land = f^m, m = 1, 2, 4, ...: the images of f^m shrink as m
-    # grows, and once f^2m has the image of f^m, f^m permutes that image,
-    # which is then exactly the set of cycle states.  Im f^2m is f^m taken
-    # on Im f^m alone, and 2^n steps always suffice.  Side by side phase
-    # spaces have disjoint images that each only shrink, so the total
-    # stops shrinking only when every one has.
+    # Doubling land = f^m, m = 1, 2, 4, ...: once f^2m has the image of
+    # f^m, f^m permutes it, so it is exactly the set of cycle states.  Side
+    # by side graphs have disjoint images that each only shrink, so the
+    # total stops shrinking only when every one has.
     land = succ
     image = _mark(size, land)
     count = np.count_nonzero(image)
@@ -275,8 +222,7 @@ def _components(succ, n):
         if count == last:
             break
         land, image = _gather(land, land), next_image
-    # every state-sized array is dropped once used: their peak is what
-    # bounds n
+    # state-sized arrays are dropped once used: their peak bounds n
     cycle = np.flatnonzero(image).astype(np.uint32)
     del image, next_image
     comp, rotated, ends = _cycle_components(succ, cycle)
@@ -302,22 +248,19 @@ def _component_sizes(space):
 
 
 def _ensemble_chunk(n, plan, rows, courses):
-    """Statistics of S networks on one wiring, analyzed as one graph.
+    """Per network of ``rows`` (as ``_ensemble_successors`` takes them),
+    its component count, the size of the component holding the first of
+    ``courses`` (lists of state ints), and the size of its largest one.
 
-    ``rows[s][i]`` is the candidate node i drew in network s, as
-    ``_ensemble_plan`` numbers them, and ``courses`` lists state integers.
-    Returns, one entry per network, its component count, the size of the
-    component holding the first course, and the size of its largest
-    component.  Raises ``InvariantViolation`` at the first network, in
-    order, where a course spans components.
+    Raises ``InvariantViolation`` at the first network where a course
+    spans components.
     """
     samples = len(rows)
     succ = _ensemble_successors(n, plan, rows)
-    # Most states have no predecessor, so the chunk is analyzed on the
-    # image of f alone: it is closed under f and holds every cycle, and a
-    # state's component is its successor's.  Positions in the sorted image
-    # keep the order of the states, and with it the component numbering.
-    # numpy counts an intp array 2-3 times as fast as a uint32 one.
+    # The chunk is analyzed on the image of f, closed under f and holding
+    # every cycle; a state's component is its successor's.  Positions in
+    # the sorted image keep the component numbering.  numpy counts an intp
+    # array 2-3 times as fast as a uint32 one.
     indeg = np.bincount(succ.astype(np.intp), minlength=len(succ))
     image = np.flatnonzero(indeg != 0).astype(np.uint32)
     weight = _gather(indeg, image).astype(np.uint32)
@@ -377,13 +320,9 @@ def _cycle_lengths(ends):
 
 def _decimal(values, sep):
     """``sep.join(map(str, values))`` for a nonempty array of nonnegative
-    ints.
-
-    Row i of one byte array holds value i's digits, right-aligned with
-    leading zeros, and ``sep``; a mask drops the leading zeros and the
-    last separator, so no Python int or str per value is made, as in
-    ``_attractor_bits``.
-    """
+    ints, with no Python int or str per value: row i of one byte array
+    holds value i's digits and ``sep``, and a mask drops the leading zeros
+    and the last separator."""
     sep = sep.encode()
     top = values.max()
     width = len(str(top))
@@ -394,8 +333,7 @@ def _decimal(values, sep):
         rest //= 10
     del rest
     keep = np.ones(rows.shape, dtype=bool)
-    # a digit is kept from the value's first nonzero digit on; the units
-    # always
+    # digits from the first nonzero one on; the units always
     lead = rows[:, :width - 1] != 0
     np.logical_or.accumulate(lead, axis=1, out=keep[:, :width - 1])
     del lead
@@ -409,14 +347,12 @@ def _decimal(values, sep):
 
 def _attractor_bits(n, states, ends, newline):
     """The attractor list as JSON text, as ``json.dumps(indent=2)`` renders
-    it on a line that ``newline``, a newline and that line's indentation,
-    ends.
+    it on a line that ``newline`` (a newline and that line's indentation)
+    ends; ``states`` lists the cycles one after another, cut at ``ends``.
 
-    ``states`` lists the cycles one after another, cut at ``ends``; each
-    state is written as n '0'/'1' characters, node 0 first.  Row i of one
-    byte array holds state i's characters and the separator after it, to
-    the next state of its cycle or to the next cycle, and a mask cuts each
-    row to its length: every state is rendered in one numpy pass.
+    Each state is n '0'/'1' characters, node 0 first.  Row i of one byte
+    array holds state i's and the separator after it, and a mask cuts
+    each row to its length, so every state is rendered in one numpy pass.
     """
     inner = newline + "  "
     within = f'",{inner}  "'.encode()
@@ -427,10 +363,8 @@ def _attractor_bits(n, states, ends, newline):
     rows[:, :n] += ord("0")
     seps = np.frombuffer(within.ljust(len(between)) + between, dtype=np.uint8)
     seps = seps.reshape(2, -1)
-    # Every row is filled with the separator most states take, the
-    # between-cycle one when most states end their cycle, as fixed points
-    # do, and the other states are then rewritten: that costs per row, so
-    # it runs on the fewer rows either way.
+    # Every row takes the separator most states take, and the other rows
+    # are rewritten: that costs per row, so it runs on the fewer.
     usual = 2 * len(ends) > len(states)
     other = np.flatnonzero(_mark(len(states), ends - 1) != usual)
     rows[:, n:] = seps[int(usual)]

@@ -1,17 +1,8 @@
 """Truth tables and algebraic normal form for Boolean functions on few inputs.
 
-Index convention, used everywhere in this package: variable ``x_i``
-(1-based) maps to bit ``i-1`` of an integer index.  A point
-``(x_1, ..., x_k)`` is stored at position ``sum(x_i << (i-1))`` of a truth
-table, and a monomial over the variable subset ``S`` is stored at position
-``sum(1 << (i-1) for i in S)`` of a coefficient vector.  Points and subsets
-therefore share one bijection with ``range(2**k)`` and never need
-transposing against each other.
-
-Functions are elements of the quotient ring F2[x_1..x_k] / (x_i^2 - x_i),
-i.e. every function has a unique multilinear polynomial (its algebraic
-normal form); ``tt_to_anf`` / ``anf_to_tt`` convert between the two
-representations and are inverse to each other.
+Functions are elements of F2[x_1..x_k] / (x_i^2 - x_i), held as a truth
+table or as ANF coefficients, both packed into one int; the README's
+``boolfun`` section describes the design.
 """
 
 from functools import lru_cache
@@ -25,6 +16,9 @@ HARD_ARITY_CAP = 16
 
 
 def _check_arity(arity, allow_big):
+    """Raise unless 0 <= arity <= HARD_ARITY_CAP, and arity <=
+    SOFT_ARITY_CAP without ``allow_big``: the one arity check, made by
+    every entry point that takes an arity before it allocates."""
     if arity < 0:
         raise ValueError(f"arity must be nonnegative, got {arity}")
     if arity > HARD_ARITY_CAP:
@@ -48,7 +42,13 @@ def _check_bits(seq, what):
 
 
 def point_to_index(point):
-    """Map a point (bit vector ``x_1..x_k``) to its table index."""
+    """Map a point (bit vector ``x_1..x_k``) to its table index.
+
+    Variable ``x_i`` is bit i - 1 of the index, so a point sits at
+    ``sum(x_i << (i-1))`` of a truth table, and the monomial over the
+    variable subset S at ``sum(1 << (i-1) for i in S)`` of a coefficient
+    vector: points and subsets share one bijection with ``range(2**k)``.
+    """
     idx = 0
     for i, bit in enumerate(point):
         idx |= bit << i
@@ -73,13 +73,9 @@ def index_to_subset(index):
 
 
 class _PackedVector:
-    """A 0/1 vector of length 2**arity packed into one integer.
-
-    Bit m of the integer is entry m.  Subclasses name the entries: the
-    accessor that returns them as a tuple, and the nouns used in error
-    messages.  Instances are immutable after construction and safe to
-    share; one built from its integer unpacks its entries on first access.
-    """
+    """An immutable 0/1 vector of length 2**arity packed into one integer,
+    bit m holding entry m and unpacked on first access.  Subclasses name
+    the entries' accessor and the nouns of error messages."""
 
     __slots__ = ("arity", "_bits", "_unpacked")
     _accessor = _noun = _what = ""  # set by each subclass
@@ -134,16 +130,9 @@ class _PackedVector:
 
 
 class TruthTable(_PackedVector):
-    """Value vector of a Boolean function on ``arity`` ordered inputs.
-
-    Parameters
-    ----------
-    arity : int
-        Number of inputs k (0 allowed; constants have a 1-entry table).
-    values : sequence of 0/1, length 2**arity
-        values[m] is the function value at the point indexed by m.
-    allow_big : bool
-        Permit arities above the soft cap of 5, up to the hard cap of 16.
+    """Value vector of a Boolean function on ``arity`` ordered inputs (0
+    allowed): values[m] is the value at the point indexed by m.
+    ``allow_big`` permits arities above the soft cap (``_check_arity``).
     """
 
     __slots__ = ()
@@ -208,12 +197,9 @@ def variable_masks(arity):
 
 
 def xor_transform(bits, arity):
-    """Subset-XOR transform on a packed 2**arity-bit vector.
-
-    Sends t to c with c[m] = XOR of t over all submasks of m.  Over F2 the
-    transform is its own inverse, so it serves as both the analysis
-    (table -> ANF) and synthesis (ANF -> table) direction.
-    """
+    """Subset-XOR transform on a packed 2**arity-bit vector: c[m] is the
+    XOR of t over all submasks of m.  It is its own inverse, so it maps a
+    table to its ANF and an ANF to its table."""
     full = (1 << (1 << arity)) - 1
     for i, lane in enumerate(_lane_masks(arity)):
         bits ^= (bits & lane) << (1 << i)
@@ -222,11 +208,8 @@ def xor_transform(bits, arity):
 
 
 def tt_to_anf(table):
-    """Algebraic normal form of a truth table.
-
-    Returns the unique coefficient vector c with, for every point x,
-    XOR over subsets S of support(x) of c_S equal to table(x).
-    """
+    """Algebraic normal form of a truth table: the unique c with table(x)
+    the XOR of c_S over the subsets S of support(x), at every point x."""
     return CoeffVector.from_int(
         table.arity, xor_transform(table.to_int(), table.arity), allow_big=True
     )
@@ -251,11 +234,8 @@ def evaluate(table, point):
 
 
 def essential_vars(table):
-    """Variables the function actually depends on, as 1-based ids.
-
-    Variable i is essential iff flipping coordinate i changes the value at
-    some point.
-    """
+    """Variables the function depends on, as 1-based ids: those whose flip
+    changes the value at some point."""
     bits = table.to_int()
     out = []
     for i, lane in enumerate(_lane_masks(table.arity)):
@@ -291,13 +271,11 @@ def _byte_rows(units, zero, plus):
 
 @lru_cache(maxsize=None)
 def _anf_rows(arity):
-    # Per-byte tables that render the ANF of a table int at arity <=
-    # SOFT_ARITY_CAP, built on first use.  The ANF is linear over F2, so
-    # the ANF of a table is the XOR of its bytes' rows: row j of the first
-    # maps byte value v to the ANF of v << 8j, its monomials renumbered into
-    # print order (bit p is the p-th monomial printed).  Row j of the second
-    # maps byte j of a renumbered ANF to its monomials' texts, each led by
-    # " + ".
+    # Per-byte tables that render the ANF of a table int up to the soft
+    # cap.  The ANF is linear over F2, so it is the XOR of its bytes' rows:
+    # row j of the first maps byte value v to the ANF of v << 8j, with
+    # monomials renumbered into print order.  Row j of the second maps byte
+    # j of a renumbered ANF to its monomials' texts, each led by " + ".
     masks, texts = _monomial_order(arity)
     units = []
     for point in range(len(masks)):
@@ -318,12 +296,10 @@ def _anf_text(bits, arity):
 
 @lru_cache(maxsize=None)
 def _picker(arity):
-    # (format spec, picker, monomial texts) for arities above
-    # SOFT_ARITY_CAP.  The picker takes a coefficient vector's binary
-    # string, which holds the coefficient of mask m at position
-    # 2**arity - 1 - m, and returns its entries in print order.  Its spare
-    # last index keeps the result a tuple even for one monomial; compress
-    # stops at the last text.
+    # (format spec, picker, monomial texts) above the soft cap.  The picker
+    # takes a coefficient vector's binary string, mask m at position
+    # 2**arity - 1 - m, and returns its entries in print order; its spare
+    # last index keeps the result a tuple, and compress stops before it.
     n = 1 << arity
     masks, texts = _monomial_order(arity)
     return f"0{n}b", itemgetter(*(n - 1 - m for m in masks), 0), texts
@@ -340,12 +316,9 @@ def _picked_text(c, arity):
 
 
 def anf_string(coeffs):
-    """Render an ANF as '+'-joined monomials, e.g. ``1 + x1 + x1*x3``.
-
-    Monomials are ordered by degree, then lexicographically by variable
-    ids; variables inside a monomial appear in increasing order.  The zero
-    polynomial renders as ``0``.  Output is deterministic.
-    """
+    """Render an ANF as '+'-joined monomials, e.g. ``1 + x1 + x1*x3``:
+    ordered by degree, then by variable ids, each in increasing order;
+    the zero polynomial renders as ``0``."""
     k = coeffs.arity
     # the transform is its own inverse: these are the ANF of this table
     return _anf_text(xor_transform(coeffs.to_int(), k), k)
@@ -354,11 +327,11 @@ def anf_string(coeffs):
 def parse_anf(text, arity, allow_big=False):
     """Parse the output format of :func:`anf_string` back to coefficients.
 
-    Accepts monomials joined by '+', each either ``1`` or ``*``-joined
-    variables ``x<i>`` with 1 <= i <= arity.  Repeated variables in a
-    monomial or repeated monomials are rejected rather than reduced, so a
-    typo cannot silently cancel.  ``0`` denotes the zero polynomial.
+    Each monomial is ``1`` or ``*``-joined ``x<i>``, 1 <= i <= arity.
+    Repeated variables or monomials are rejected rather than reduced, so a
+    typo cannot silently cancel.
     """
+    _check_arity(arity, allow_big)
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial string")

@@ -1,15 +1,7 @@
 """Command-line surface: subcommands and reports.
 
-Subcommands: ``infer`` (per-node fitting NCF sets and a summary table),
-``enumerate-ncfs`` (the full NCF catalog for one arity), ``dynamics``
-(phase space of one fully specified model), ``sample`` (ensemble
-statistics), ``check`` (dual-route inference validation).  Input files are
-read by :mod:`ncfinfer.formats`.  All randomness flows from --seed; reports
-embed content digests of their inputs; output files are only written once
-a run has fully succeeded, and then all together or not at all.  JSON
-reports are ``json.dumps(indent=2, sort_keys=True)`` texts: each top-level
-value goes through the stdlib encoder, except the NCF catalog, the
-attractors and the component sizes, which are rendered ahead as raw text.
+The subcommands, their reports and their error objects are described in
+the README's ``Command line`` section.
 """
 
 import argparse
@@ -58,12 +50,9 @@ class _RawJSON:
 
 def _json_chunks(report):
     """``json.dumps(report, indent=2, sort_keys=True) + "\\n"`` as a list of
-    chunks, byte for byte once joined.
-
-    ``report`` is a nonempty dict with string keys.  Each value is rendered
-    by ``json.dumps`` and indented one level, except a ``_RawJSON`` value,
-    which is emitted as its own chunk, verbatim.
-    """
+    chunks, byte for byte once joined, for a nonempty dict with string
+    keys.  Each value is rendered by ``json.dumps`` and indented one
+    level, except a ``_RawJSON`` value, emitted as its own chunk."""
     chunks = []
     lead = "{\n  "
     for key in sorted(report):
@@ -87,10 +76,9 @@ def _json_report(obj):
 
 
 def _write_outputs(out_dir, outputs):
-    # nothing is written unless the whole run succeeded, and a failed write
-    # leaves no report behind: every file is staged in a temporary directory
-    # beside its final place and moved in only once all of them are written.
-    # A report given as chunks is written chunk by chunk, never joined.
+    # all or nothing: every file is staged in a temporary directory beside
+    # its final place and moved in once all are written; a report given as
+    # chunks is written chunk by chunk, never joined
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=".partial-", dir=out) as staging:
@@ -203,12 +191,9 @@ def cmd_infer(args):
 
 
 def _ncf_records_json(ncfs):
-    # the list ncfs.json_records() renders to as the value of a top-level
-    # key, in one pass over the set's records, each record one f-string of
-    # cached pieces: an int list's text and a witness head (its inputs and
-    # order) are rendered once, however many records share them.  ANF text
-    # ([0-9x*+ ]) needs no JSON escaping.  An enumerated catalog is never
-    # empty, and its members carry their layer-structure witnesses.
+    # ncfs.json_records() as a top-level value, each record one f-string of
+    # cached int lists and witness heads.  ANF text ([0-9x*+ ]) needs no JSON
+    # escaping; an enumerated catalog is never empty and carries witnesses.
     lists, heads = {}, {}
 
     def int_list(t):
@@ -249,8 +234,6 @@ def cmd_enumerate(args):
 
 
 def _dynamics_payload(space, inputs):
-    # the attractors and the component sizes are rendered from arrays,
-    # never as a Python object per cycle or component
     from ._engine import _attractor_bits, _decimal
 
     n = space.n

@@ -1,10 +1,5 @@
-"""Access to the bundled budding-yeast cell-cycle dataset.
-
-See data/README.md for provenance: the time course is the published
-cell-cycle sequence of the Li et al. (2004) Boolean threshold model, and
-the wiring is a documented reconstruction of that model's interaction
-graph.
-"""
+"""Access to the bundled budding-yeast cell-cycle dataset; data/README.md
+gives its provenance."""
 
 from importlib.resources import files
 

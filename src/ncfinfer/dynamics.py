@@ -1,109 +1,9 @@
 """Synchronous phase-space analysis and ensemble statistics.
 
-A Boolean network updates every node at once, so its phase space is a
-functional graph on the 2^n global states: each state has exactly one
-successor, every weakly connected component contains exactly one cycle
-(its attractor), and a component coincides with the basin of attraction of
-that cycle.
-
-Phase spaces are computed fully (capped at n <= 24 nodes) with flat
-numpy arrays and no Python loop over states:
-
-* the successor map is built node by node in uint8 byte lanes: each
-  node's truth table, packed into its narrowest word (uint8 up to arity
-  3, uint16 at arity 4, a 32-bit word per 32 entries above), is shifted
-  right by every state's index into the table, built by doubling over the
-  state bits; the low bit is multiplied to bit i % 8 and ORed into lane
-  i // 8, and the at most 4 lanes are stored into the uint32 map once.
-  A node's bits repeat with the period of its last regulator's bit, so
-  they are selected on one period and ORed into every period at once;
-* doubling land = f^m, m = 1, 2, 4, ..., lands every state on its
-  attractor cycle, and stops once the image of f^m stops shrinking, when
-  that image is exactly the set of cycle states;
-* pointer jumping with a running minimum over the cycle states finds each
-  cycle's smallest state, which numbers the components, and the steps from
-  every cycle state to it, which rotate each attractor to start there.
-
-The cycles are kept as two flat uint32 arrays: every cycle state in
-report order, and where each cycle ends.  The tuples ``attractors`` and
-``component_sizes`` of a ``PhaseSpace`` are built on first access, the
-sizes from one ``bincount`` array that the ``dynamics`` report shares.
-The report renders the attractors, the component sizes and the stdout
-list of cycle lengths straight from the arrays, so no Python object per
-cycle or component exists unless a caller asks for one.  Measured with
-tracemalloc at n = 20, the map of tables up to arity 5 is built within
-4 + ceil(n / 8) bytes per state, and the analysis peaks at 17 bytes per
-state when few states lie on cycles, about 290 MB at n = 24, and at 30
-bytes per state when every state is a fixed point, about 500 MB at
-n = 24.  Building ``attractors`` then peaks at 136 bytes per cycle state
-and keeps 84.
-
-``phase_space`` builds its map with the plan that ``sample_ensemble``
-uses (below), as an ensemble of one network whose every node has a
-single candidate, so every node's bits are ORed into the base array.
-
-These numpy steps live in the private module ``ncfinfer._engine``, which
-``phase_space`` and ``sample_ensemble`` import on their first call: this
-module imports no numpy, so inference without dynamics never loads it.
-
-Ensemble sampling draws each node's local function independently and
-uniformly from its candidate set; every sample uses its own
-deterministically derived generator, so results are bit-identical for a
-given seed.  Draws are table ints: a node draws a row of its candidate
-set (a member of its fitting NCFs, or an assignment to its unobserved
-points, spread through one lookup table per byte), with exactly the
-random bits the function object would take.  A node's successor bits
-depend only on the row it draws, so one plan per call builds every
-sample's successor map:
-
-* every single-candidate node (a forced function, a lone NCF, a model
-  space of one) is folded into one ``base`` array;
-* a node with no more candidates than samples, whose whole candidate
-  set fits ENSEMBLE_CACHE_BYTES (4 MB, in absolute bytes, filled smallest
-  set first), gets a cached matrix of its shifted successor bits, one
-  row of 4 * 2^n bytes per candidate, so a chunk gathers its rows and
-  ORs them in: all 436 yeast NCF candidates take 3.5 MB;
-* every other node keeps its local index and the shift select.
-
-Samples are analyzed in chunks of ENSEMBLE_STATES states (32 samples of
-11 nodes, one of 16): a chunk's phase spaces sit side by side in one
-functional graph.  Most of its states have no predecessor, so after one
-in-degree count over every state a single doubling and pointer-jumping
-pass runs on the image of f alone.  The image is closed
-under f and holds every cycle; a state's component is its successor's,
-and a component's size is the in-degree summed over its image states.
-On the benchmark's seed-1 inputs the image holds a median 2.5 % of a
-sample's states on a random 16-node NCF network (6.7 % when the functions
-are unrestricted) and 12 % of a 32-sample yeast chunk (21 % unrestricted).
-Per state, ``sample_ensemble`` keeps the 4-byte base array and a local
-index (one byte, two above arity 8) per node on the shift select, beside
-the cache, and the
-chunk analysis adds at most 34 bytes, when every state is a fixed point:
-the identity network at n = 20 peaks at 44 bytes per state under
-tracemalloc in either mode (every node in the base array, or every node
-on the shift select), about 0.75 GB at n = 24.
-
-The chunks run in W worker processes, W the number of CPUs this process
-may use (``os.sched_getaffinity``, else ``os.cpu_count``) but at most one
-per chunk.  Once the plan is built, ``sample_ensemble`` forks W - 1
-children, which share its arrays copy-on-write; each draws and analyzes
-a contiguous slice of the chunks and sends its statistics back through a
-pipe, while the caller's process runs the first slice.  A child that
-fails or sends short data has its slice run again by the caller, so an
-error surfaces in sample order with its own type.  W is 1, and nothing
-is forked, when ``os.fork`` is missing, when another Python thread is
-alive (a child forked from a threaded process can deadlock), and when
-2^n exceeds ENSEMBLE_STATES: a chunk is then one large network, and the
-bounds above hold as stated.  Otherwise each worker adds its own chunk
-analysis, at most 34 bytes per state of one chunk of ENSEMBLE_STATES
-states (about 2.2 MB), and the pages it copies on write.
-
-Threads are counted by ``threading.active_count()``, which sees only
-threads that Python started.  A native pool such as OpenBLAS's, idle in
-a library caller that imports numpy without ``OPENBLAS_NUM_THREADS=1``,
-is not counted: forking beside it is tolerated, since OpenBLAS registers
-a fork handler that shuts its pool down before each fork, and the
-children call no BLAS routine.
+The design is described once, in the README's ``dynamics`` module
+section; each memory bound and fork rule is stated by the function that
+keeps it.  The numpy steps live in ``ncfinfer._engine``, imported on the
+first phase-space call, so inference alone never loads numpy.
 """
 
 import os
@@ -122,7 +22,7 @@ if TYPE_CHECKING:
 else:
     ndarray = Any  # numpy loads with the first phase space, not with this module
 
-PHASE_SPACE_CAP = 24  # network size; 2^24 states at 17-30 bytes each is 0.3-0.5 GB
+PHASE_SPACE_CAP = 24  # network size; phase_space states the bytes per state
 # states analyzed at once by sample_ensemble (32 samples of 11 nodes): a
 # chunk of small networks is never larger than one 16-node phase space
 ENSEMBLE_STATES = 1 << 16
@@ -145,11 +45,8 @@ __all__ = [
 
 
 class BooleanNetwork:
-    """A wiring diagram plus one local truth table per node.
-
-    Table i consumes the values of node i's regulators, in regulator-list
-    order (the j-th regulator feeds the table's j-th input).
-    """
+    """A wiring diagram plus one local truth table per node, whose j-th
+    input is the node's j-th regulator."""
 
     __slots__ = ("wiring", "tables")
 
@@ -195,13 +92,11 @@ class PhaseSpace(
     """Complete synchronous dynamics of one network.
 
     successor[m] is the next state of state m; component_of[m] labels m's
-    weakly connected component.  Component c's unique cycle, rotated to
-    start at its smallest state, is cycle_states[cycle_ends[c - 1]:
-    cycle_ends[c]] (from 0 for c = 0).  Components are numbered by
-    ascending smallest cycle state.  The tuples ``component_sizes`` and
-    ``attractors`` are built from these arrays on first access and kept
-    in the instance ``__dict__``, which this record, alone of the
-    package's records, has: it declares no ``__slots__``.
+    weakly connected component.  Components are numbered by ascending
+    smallest cycle state, and component c's cycle, rotated to start there,
+    is cycle_states[cycle_ends[c - 1]:cycle_ends[c]] (from 0 for c = 0).
+    ``component_sizes`` and ``attractors`` are cached in the instance
+    ``__dict__``, which this record alone has: it declares no ``__slots__``.
     """
 
     @property
@@ -214,15 +109,17 @@ class PhaseSpace(
 
     @cached_property
     def _sizes(self):
-        """The component sizes as one array, which the report renders and
-        the ``component_sizes`` tuple is built from."""
+        """The component sizes as one array, as the report renders them."""
         from ._engine import _component_sizes
 
         return _component_sizes(self)
 
     @cached_property
     def attractors(self):
-        """The cycles as a tuple of state tuples, one per component."""
+        """The cycles as a tuple of state tuples, one per component.
+
+        Building it peaks at 136 bytes per cycle state and keeps 84.
+        """
         flat = tuple(self.cycle_states.tolist())
         ends = self.cycle_ends.tolist()
         return tuple([flat[a:b] for a, b in zip([0, *ends], ends)])
@@ -241,15 +138,19 @@ def _network_size(wiring):
 
 
 def phase_space(network):
-    """Successor map, components, and attractors of every global state."""
-    from ._engine import _analyze, _ensemble_plan
+    """Successor map, components, and attractors of every global state.
+
+    Networks of more than PHASE_SPACE_CAP nodes raise ``CapacityError``.
+    With tables up to arity 5 the analysis peaks, under tracemalloc at
+    n = 20, at 17 bytes per state when few states lie on cycles (about
+    290 MB at n = 24) and at 30 bytes per state when every state is a
+    fixed point (about 500 MB at n = 24).
+    """
+    from ._engine import _analyze, _base_map
 
     n = _network_size(network.wiring)
-    # an ensemble of one network whose every node has a single candidate:
-    # the plan's base array is the successor map
-    nodes = [(1, (t.to_int(),).__getitem__) for t in network.tables]
-    base, _, _ = _ensemble_plan(n, network.wiring.regulators, nodes, 0, 1)
-    return _analyze(base, n)
+    singles = [(i, t.to_int()) for i, t in enumerate(network.tables)]
+    return _analyze(_base_map(n, network.wiring.regulators, singles), n)
 
 
 def attractors(space):
@@ -277,12 +178,8 @@ def _state_ints(n, trajectory):
 
 
 def trajectory_component_size(space, trajectory):
-    """Size of the component holding a trajectory's states.
-
-    The states must all lie in one component; any network whose local
-    functions fit the transitions guarantees that, because consecutive
-    trajectory states are then successor-linked.
-    """
+    """Size of the component holding a trajectory's states, which must all
+    lie in one component, as they do when the network fits them."""
     states = _state_ints(space.n, trajectory)
     labels = {int(space.component_of[s]) for s in states}
     if len(labels) > 1:
@@ -294,13 +191,9 @@ def trajectory_component_size(space, trajectory):
 
 
 class EnsembleStats(NamedTuple):
-    """Aggregates over sampled networks on one wiring and data set.
-
-    The histogram counts samples by the size of the component containing
-    the reference trajectory, in ``bin_width``-wide bins over [0, 2^n]
-    (bin b covers sizes b*width+1 .. (b+1)*width); bins sum to
-    sample_count.
-    """
+    """Aggregates over sampled networks on one wiring and data set.  The
+    histogram counts samples by the size of the reference trajectory's
+    component: bin b covers sizes b*bin_width+1 .. (b+1)*bin_width."""
 
     mode: str
     seed: int
@@ -365,14 +258,17 @@ def _check_sampling(samples, seed):
 
 def _worker_count(n, chunks):
     """How many processes run ``sample_ensemble``'s ``chunks`` chunks of
-    ``n``-node samples: one per CPU this process may use, at most one per
-    chunk.  It is one when ``os.fork`` is missing, when another Python
-    thread is alive (``threading.active_count()``), since a child forked
-    from a threaded process can deadlock, and when a chunk is one network
-    of more than ENSEMBLE_STATES states, whose analysis is then large
-    enough to keep to one at a time.  Native threads, such as an idle
-    OpenBLAS pool, are not counted; the module docstring says why forking
-    beside them is tolerated."""
+    ``n``-node samples: one per usable CPU, at most one per chunk.
+
+    It is one without ``os.fork``; while another Python thread is alive,
+    since a child forked from a threaded process can deadlock; and when
+    2^n exceeds ENSEMBLE_STATES, so that a chunk, one network, is large
+    enough to analyze one at a time.  ``threading.active_count()`` sees
+    no native thread, such as the idle OpenBLAS pool of a caller that
+    imports numpy without ``OPENBLAS_NUM_THREADS=1``.  Forking beside it
+    is tolerated: OpenBLAS shuts its pool down in a fork handler, and the
+    children call no BLAS routine.
+    """
     if (not hasattr(os, "fork") or threading.active_count() > 1
             or 1 << n > ENSEMBLE_STATES):
         return 1
@@ -388,13 +284,12 @@ def _forked(run, parts, lengths):
     of ``lengths[k]`` ints of the int64 range, for part ``parts[k]``.
 
     Every part but the first runs in a child forked before any part runs,
-    so the children share the caller's arrays copy-on-write; this process
-    runs the first part, then reads each child's list from its pipe to
-    end of file and reaps it.  A child leaves only through ``os._exit``
-    and never raises into the caller.  Where a child exits nonzero, sends
+    sharing the caller's arrays copy-on-write; this process runs the first
+    part, then reads each child's list from its pipe and reaps it.  A child
+    leaves only through ``os._exit``.  Where a child exits nonzero, sends
     short data or cannot be forked, this process runs its part itself, so
-    any error a part raises surfaces in part order with its own type.  If
-    this process raises, every child still running is killed and reaped.
+    errors surface in part order with their own type.  If this process
+    raises, every child still running is killed and reaped.
     """
     children, pipes = {}, {}  # part number -> child pid, read end of its pipe
     try:
@@ -448,26 +343,24 @@ def _forked(run, parts, lengths):
 def sample_ensemble(result, samples, seed, mode):
     """Statistics over networks drawn from a node-wise uniform ensemble.
 
-    Each sample chooses every node's local function independently and
-    uniformly, either from the node's fitting nested canalyzing set (mode
-    ``ncf``) or from its whole fitting model space (mode ``unrestricted``).
-    A node whose data admits exactly one function contributes that
-    function in both modes, even if it is not nested canalyzing; this is
-    what makes a data set with a forced constant node sampleable.
+    Each sample draws every node's local function uniformly from its
+    fitting NCFs (mode ``ncf``) or its whole model space (``unrestricted``);
+    a node whose data forces one function takes it in both modes, NCF or
+    not.  Sample j uses the Mersenne Twister seeded with seed * 2**32 + j
+    and draws node by node in wiring order, so neither the chunking, the
+    ``_worker_count`` processes nor the cached columns change a result.
+    Every time course must lie in one component of every sample, or
+    ``InvariantViolation`` names the components it spans in the first
+    such sample.  The first time course is the reference trajectory.
 
-    Sample j uses the Mersenne Twister seeded with seed * 2**32 + j and
-    draws node by node in wiring order, so output is a pure function of
-    (seed, mode, samples, result).  Samples are analyzed in chunks of up
-    to ENSEMBLE_STATES states, one pass per chunk, and the chunks are
-    split into contiguous slices among one worker process per CPU this
-    process may use (forked children beside this process; see the module
-    docstring for when only this process runs, which threads count
-    against forking, and for memory per worker).  Neither the chunking,
-    the workers nor the cached successor columns change a draw or a
-    result.  Every time course must lie in one component of every
-    sample, or ``InvariantViolation`` names the components it spans in
-    the first such sample.  The reference trajectory is the first time
-    course.
+    Memory per state in one process, which is how networks of more than
+    16 nodes run: beside the cached columns, the 4-byte base array, a
+    local index per node on the shift select (one byte, two above arity
+    8) and at most 41 bytes of chunk analysis, when every state is a
+    fixed point.  So at most n + 45 bytes per state up to arity 8, about
+    1.16 GB at n = 24; tracemalloc reads 64 at n = 20 with every node on
+    the shift select, 44 with none.  Each extra worker adds one chunk's
+    analysis, at most 2.7 MB, and the pages it copies on write.
     """
     _check_sampling(samples, seed)
     covered = {rec.name for rec in result.nodes}
@@ -480,8 +373,6 @@ def sample_ensemble(result, samples, seed, mode):
     from ._engine import _ensemble_chunk, _ensemble_plan
 
     n = _network_size(result.wiring)
-    # every course must stay inside one component; the first is the
-    # reference trajectory the statistics are about
     courses = [_state_ints(n, t) for t in result.trajectories()]
     samplers = [_node_sampler(rec, mode) for rec in result.nodes]
     draws = [draw for _, draw, _ in samplers]

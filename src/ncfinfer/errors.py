@@ -2,11 +2,8 @@
 
 
 class ToolError(Exception):
-    """Base class for all errors raised by this package.
-
-    Carries an optional ``context`` dict so the CLI can emit a
-    machine-readable error object without string parsing.
-    """
+    """Base class for all errors raised by this package; its ``context``
+    dict goes into the CLI's JSON error object."""
 
     def __init__(self, message, **context):
         super().__init__(message)
@@ -14,11 +11,8 @@ class ToolError(Exception):
 
 
 class InconsistentDataError(ToolError):
-    """Two transition pairs share an input but disagree on the output.
-
-    The data admits no function at all, which usually means the wiring
-    diagram assigns the wrong regulators to a node.
-    """
+    """Two transition pairs share an input but disagree on the output, which
+    usually means the wiring gives a node the wrong regulators."""
 
 
 class ParseError(ToolError):

@@ -1,9 +1,6 @@
-"""Input file formats: wiring diagrams, time courses and ANF rules.
-
-Each ``parse_*`` function turns the text of one input file into library
-objects and raises :class:`ParseError` (with a line or field where known)
-on malformed input; ``serialize_*`` writes the same format back.  The
-formats are described in the README.
+"""Input file formats: wiring diagrams, time courses and ANF rules, as the
+README describes them.  Each ``parse_*`` raises :class:`ParseError`, with
+a line or field where known; each ``serialize_*`` writes the format back.
 """
 
 import csv
@@ -16,11 +13,7 @@ from .infer import TimeCourse, WiringDiagram
 
 
 def parse_wiring(text):
-    """Wiring file: {"nodes": [names...], "regulators": {name: [names...]}}.
-
-    Node order fixes variable indexing; each regulator list's order fixes
-    the input order of that node's local function.
-    """
+    """Wiring file: {"nodes": [names...], "regulators": {name: [names...]}}."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

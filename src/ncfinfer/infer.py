@@ -1,27 +1,18 @@
 """Per-node inference of all nested canalyzing functions fitting a time course.
 
-The wiring diagram fixes each node's regulators; consecutive rows of a
-time course give global (state, next state) transitions.  Restricting each
-transition to a node's regulators yields that node's local data, and the
-node's answer is simply the set of nested canalyzing functions on its
-regulators that agree with every local pair, found by a cascade peel that
-prunes against those pairs as it goes.  Inference is per node because
-the space of whole-network models is the product of the per-node spaces.
-The near misses, fitting functions excluded only because they ignore some
-regulators, come from the same peel run on each proper subset of the
-regulators.
+Inference is per node, because the space of whole-network models is the
+product of the per-node spaces; the README's ``infer`` section describes
+the design.
 """
 
 import itertools
 from math import prod
 from typing import NamedTuple
 
-from .boolfun import TruthTable, _check_bits, variable_masks
+from .boolfun import TruthTable, _check_arity, _check_bits, variable_masks
 from .errors import CapacityError, InconsistentDataError
 from .modelspace import LocalData, interpolant, model_space_size
 from .ncf import NcfSet, _fitting_forms, enumerate_ncfs
-
-IN_DEGREE_CAP = 5
 
 __all__ = [
     "WiringDiagram",
@@ -38,12 +29,9 @@ __all__ = [
 
 
 class WiringDiagram:
-    """Directed regulator -> target structure over named nodes.
-
-    ``regulators[i]`` lists the indices of the nodes feeding node i; the
-    list order fixes the input order of node i's local function (the j-th
-    regulator is the function's j-th variable).
-    """
+    """Directed regulator -> target structure over named nodes:
+    ``regulators[i]`` lists the nodes feeding node i, the j-th of them
+    being the j-th variable of node i's local function."""
 
     __slots__ = ("nodes", "regulators")
 
@@ -63,12 +51,10 @@ class WiringDiagram:
                     raise ValueError(
                         f"regulator index {r} of node {nodes[i]!r} out of range"
                     )
-            if len(lst) > IN_DEGREE_CAP and not allow_big:
-                raise CapacityError(
-                    f"node {nodes[i]!r} has {len(lst)} regulators, "
-                    f"above the cap of {IN_DEGREE_CAP}; pass allow_big=True to override",
-                    node=nodes[i],
-                )
+            try:
+                _check_arity(len(lst), allow_big)
+            except CapacityError as e:
+                raise CapacityError(f"node {nodes[i]!r}: {e}", node=nodes[i]) from None
             regs.append(lst)
         self.nodes = nodes
         self.regulators = tuple(regs)
@@ -149,8 +135,8 @@ def local_data(wiring, timecourses, node):
     """Transitions restricted to one node: (regulator values, next value).
 
     Pairs never straddle a course boundary.  Duplicate pairs collapse;
-    contradictory pairs raise :class:`InconsistentDataError` naming the
-    node, the clashing input pattern, and the two transitions involved.
+    contradictory ones raise :class:`InconsistentDataError` naming the
+    node, the input pattern and both transitions.
     """
     courses = _as_courses(timecourses)
     regs = wiring.regulators[node]
@@ -183,13 +169,9 @@ def local_data(wiring, timecourses, node):
 
 
 def infer_ncfs(wiring, timecourses, node):
-    """All nested canalyzing functions on the node's regulators fitting its data.
-
-    The cascade peel prunes against the observed points as it goes, so it
-    reaches only the fitting functions, each once, as the witness form the
-    census stores for it; the census itself is never built.  A node
-    without regulators has none: every cascade tests an input.
-    """
+    """All nested canalyzing functions on the node's regulators fitting its
+    data, from the peel pruned against the observed points; the census is
+    never built.  A node without regulators has none."""
     return _fitting_ncfs(local_data(wiring, timecourses, node))
 
 
@@ -209,14 +191,11 @@ def _fitting_ncfs(data):
 def near_misses(wiring, timecourses, node):
     """Fitting functions that are canalyzing cascades on too few regulators.
 
-    Returns (table, essential variable ids) pairs for every function that
-    fits the node's data and is nested canalyzing on a proper nonempty
-    subset of the declared regulators, plus fitting constants (essential
-    set empty).  These are exactly the candidates excluded from
-    :func:`infer_ncfs` by the depends-on-all-regulators requirement.
-
-    A cascade that tests only some of the variables is still a cascade, so
-    the peel of :func:`infer_ncfs`, restricted to each subset, finds them.
+    Returns (table, essential variable ids) pairs for every fitting
+    function that is nested canalyzing on a proper nonempty subset of the
+    regulators, found by the peel run on each subset, plus the fitting
+    constants (essential set empty): exactly what :func:`infer_ncfs`
+    excludes by requiring every regulator.
     """
     return _near_misses(local_data(wiring, timecourses, node))
 
@@ -299,27 +278,21 @@ def infer_all(wiring, timecourses, only=None):
 
 
 def count_models(result):
-    """Number of whole-network models: product of per-node NCF counts.
-
-    A node with no fitting nested canalyzing function makes this zero.
-    """
+    """Number of whole-network models: product of per-node NCF counts, zero
+    when some node has no fitting NCF."""
     return prod(len(rec.ncfs) for rec in result.nodes)
 
 
 def cross_check(wiring, timecourses, node):
-    """Compare two inference routes for one node.
+    """Compare two inference routes for one node; True when they agree.
 
     Route one is :func:`infer_ncfs`, the fitting set that ``infer``
-    reports: the cascade peel pruned against the observed points only.  A
-    variable may be tested first with input a and output b when every
-    observed input with that variable at a has output b, and the rest of
-    the cascade must fit the other observed inputs.  Route two builds the
-    unpruned census, the same peel with no data, and keeps the members
+    reports: the peel pruned against the observed points.  Route two
+    builds the census, the same peel with no data, and keeps the members
     that fit with :meth:`NcfSet.fitting`; a node without regulators has no
-    census and no member.  So the check compares the data-dependent
-    pruning against filtering the census, which the test suite checks
-    against the tables of all k!·4^k cascade forms at every arity the CLI
-    accepts.  Both must give the same set.
+    census and no member.  So ``check`` compares the data-dependent
+    pruning with filtering the census, which the test suite checks against
+    the tables of all k!·4^k cascade forms at every arity the CLI accepts.
     """
     data = local_data(wiring, timecourses, node)
     route_peel = _fitting_ncfs(data).to_ints()

@@ -1,43 +1,30 @@
 """The space of Boolean functions fitting one node's observed transitions.
 
-The data for one node is a set of (input point, output bit) pairs.  All
-functions agreeing with the data form a coset: one particular fitting
-function (the interpolant, zero off the data) plus any multiple of the
-single generator of the ideal of polynomials vanishing on the observed
-inputs.  Since that generator is exactly the indicator of the unobserved
-points, the coset is also, more concretely, "any assignment of values to
-unobserved points", which is how this module materializes, counts, and
-samples it.
+The fitting functions form a coset, the interpolant plus the ideal that
+:func:`ideal_generator` generates, so they are counted, materialized and
+sampled as assignments to the unobserved points.
 """
 
 from typing import NamedTuple
 
-from .boolfun import TruthTable, _check_bits, anf_to_tt, point_to_index, tt_to_anf
+from .boolfun import (
+    TruthTable, _check_arity, _check_bits, anf_to_tt, point_to_index, tt_to_anf
+)
 from .errors import CapacityError, InconsistentDataError
 
 _MATERIALIZE_CAP = 20  # free bits; 2^20 tables is the most tables() will yield
 
 
 class LocalData:
-    """Observed (input, output) pairs for one node, duplicates collapsed.
-
-    Two pairs with the same input and different outputs are rejected with
-    :class:`InconsistentDataError`: no function can fit such data, which in
-    practice means the node's regulator list is wrong.
-
-    Parameters
-    ----------
-    arity : int
-        Number of regulators k.
-    pairs : iterable of (point, bit)
-        Each point is a bit vector of length k.
+    """Observed (point, bit) pairs for one node on ``arity`` regulators (at
+    most HARD_ARITY_CAP), duplicates collapsed.  Two pairs with the same
+    input and different outputs raise :class:`InconsistentDataError`.
     """
 
     __slots__ = ("arity", "pairs", "_seen_bits", "_value_bits")
 
     def __init__(self, arity, pairs):
-        if arity < 0:
-            raise ValueError(f"arity must be nonnegative, got {arity}")
+        _check_arity(arity, allow_big=True)
         self.arity = arity
         collapsed = {}
         for point, out in pairs:
@@ -92,22 +79,16 @@ def interpolant(data):
 
 
 def ideal_generator(data):
-    """Generator of the ideal of functions vanishing on the observed inputs.
-
-    As a function it is the indicator of the unobserved points: 0 wherever
-    data was seen, 1 elsewhere.  Every fitting function is the interpolant
-    plus a multiple of this generator.
-    """
+    """Generator of the ideal of functions vanishing on the observed inputs:
+    the indicator of the unobserved points.  Every fitting function is the
+    interpolant plus a multiple of it."""
     full = (1 << (1 << data.arity)) - 1
     return TruthTable.from_int(data.arity, full ^ data._seen_bits, allow_big=True)
 
 
 def coset_element(data, g):
-    """ANF of interpolant + g * generator, the fitting function selected by g.
-
-    Ranging g over all polynomials sweeps out exactly the functions that
-    fit the data (many g map to the same function).
-    """
+    """ANF of interpolant + g * generator, the fitting function selected by
+    g; all polynomials g sweep out exactly the fitting functions."""
     if g.arity != data.arity:
         raise ValueError(
             f"polynomial arity {g.arity} does not match data arity {data.arity}"
@@ -158,12 +139,8 @@ class ModelSpace(NamedTuple):
         return 1 << len(self.unseen)
 
     def tables(self):
-        """Yield every fitting function, duplicate-free.
-
-        Iterates over assignments to the unobserved points (bit j of the
-        assignment counter goes to the j-th smallest unobserved index), so
-        the sweep has exactly ``size`` steps rather than one per polynomial.
-        """
+        """Yield every fitting function once, in ``_sampler()`` order: one
+        step per assignment to the unobserved points."""
         free = len(self.unseen)
         if free > _MATERIALIZE_CAP:
             raise CapacityError(
@@ -175,12 +152,9 @@ class ModelSpace(NamedTuple):
             yield TruthTable.from_int(self.arity, table(assign), allow_big=True)
 
     def sample(self, rng):
-        """One fitting function uniformly at random (rng: random.Random).
-
-        Takes the random bits ``_sampler()``'s draw takes, and scatters
-        them over the unobserved points directly: one draw does not pay
-        for the sampler's lookup tables.
-        """
+        """One fitting function uniformly at random (rng: random.Random),
+        from the bits ``_sampler()``'s draw takes, scattered directly: one
+        draw does not pay for the sampler's lookup tables."""
         bits = self.data._value_bits
         if self.unseen:
             assign = rng.getrandbits(len(self.unseen))
@@ -193,13 +167,10 @@ class ModelSpace(NamedTuple):
         """The fitting functions as table ints, ``(count, draw, table)``.
 
         ``table(assign)`` is the interpolant with bit j of ``assign`` at
-        the j-th smallest unobserved index, so ``range(count)`` lists the
-        functions in ``tables()`` order, and ``draw(rng)`` picks one
-        uniformly from ``free`` random bits.  The assignment is spread a
-        byte at a time: entry v of byte b's lookup table holds bit j of v
-        at the (8b + j)-th unobserved index, counted from the byte's first
-        one, so a table never holds more bits than the span of its eight
-        points.
+        the j-th smallest unobserved index, and ``draw(rng)`` picks an
+        assignment uniformly.  The assignment is spread a byte at a time:
+        entry v of byte b's lookup table holds bit j of v at the (8b + j)-th
+        unobserved index, shifted down to the byte's first one.
         """
         free = len(self.unseen)
         spread = []

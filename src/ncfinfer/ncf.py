@@ -1,22 +1,8 @@
 """Nested canalyzing functions: cascade forms, recognition, enumeration.
 
-A function is nested canalyzing when its inputs can be tested in a fixed
-order so that each test, when it receives its canalyzing value, forces the
-output regardless of every later input.  Two equivalent characterizations
-are implemented side by side and cross-validate each other:
-
-* the cascade form (a test order plus per-layer canalyzing input and
-  canalyzed output values), turned into a truth table by
-  :func:`ncf_from_form`;
-* a closed-form criterion on the ANF coefficients
-  (:func:`is_ncf_wrt`), which needs no search over input/output values.
-
-Recognition of an arbitrary truth table searches test orders against the
-coefficient criterion; at the supported arities (k <= 5) that is at most
-120 cheap checks.  Enumeration is one cascade peel, which finds each
-function once, as its witness form: run with no data it is the census,
-run against observed points it is the fitting set, and run on a whole
-table it finds that table's witness.
+Recognition uses the ANF coefficient criterion; every enumeration runs one
+cascade peel, ``_fitting_forms``.  The README's ``ncf`` section describes
+the design.
 """
 
 import itertools
@@ -28,11 +14,11 @@ from .boolfun import (
     SOFT_ARITY_CAP,
     TruthTable,
     _anf_text,
+    _check_arity,
     _check_bits,
     tt_to_anf,
     variable_masks,
 )
-from .errors import CapacityError
 
 __all__ = [
     "NcfForm",
@@ -49,12 +35,10 @@ __all__ = [
 class NcfForm(
     NamedTuple("NcfForm", [("order", tuple), ("inputs", tuple), ("outputs", tuple)])
 ):
-    """Cascade description of a nested canalyzing function.
-
-    order[i] is the (1-based) variable tested at layer i+1; inputs[i] is
-    its canalyzing value and outputs[i] the output it forces.  When no
-    layer fires, the function takes the complement of outputs[-1].
-    """
+    """Cascade description of a nested canalyzing function: order[i] is the
+    (1-based) variable tested at layer i+1, inputs[i] its canalyzing value
+    and outputs[i] the output it forces; when no layer fires, the function
+    takes the complement of outputs[-1]."""
 
     __slots__ = ()
 
@@ -76,13 +60,9 @@ class NcfForm(
 
 
 def ncf_from_form(form):
-    """Truth table of a cascade form.
-
-    At each point the layers are scanned in order; the first variable that
-    equals its canalyzing input decides the value.  If every variable
-    misses, the value is the complement of the last layer's output.
-    """
+    """Truth table of a cascade form, scanning its layers at each point."""
     k = form.arity
+    _check_arity(k, allow_big=True)
     values = []
     for idx in range(1 << k):
         for var, a, b in zip(form.order, form.inputs, form.outputs):
@@ -101,18 +81,17 @@ def _check_order(order, k):
 
 def _fitting_forms(value, seen, free, varmasks, undecided):
     # Aligned lists of table ints and their witness forms (order, inputs,
-    # outputs), order 1-based, one entry per nested canalyzing function on
-    # the 0-based variables `free` that takes `value` at each point of the
-    # mask `seen`.  Variable v may come next with input a and output b
-    # when every undecided seen point with x_v = a has value b; those
-    # points, seen or not, are then decided b, and `table` holds the ones
-    # decided 1.  Two rules keep one form per function: a variable with
-    # the same output as the one before it (`prev`, output `prev_b`) has a
-    # larger index, so each layer lists its variables in ascending order;
-    # and the last variable takes input 0 and a larger index than the one
-    # before it, since flipping its input and output together keeps the
-    # function.  The last variable decides every point left and is placed
-    # inline, one call above, except when it is the only variable.
+    # outputs), order 1-based, one per nested canalyzing function on the
+    # 0-based variables `free` that takes `value` on the mask `seen`.
+    # Variable v may come next with input a and output b when every
+    # undecided seen point with x_v = a has value b; those points are then
+    # decided b, and `table` holds the ones decided 1.  Two rules keep one
+    # form, the witness, per function: a variable with the same output as
+    # the one before it (`prev`, `prev_b`) has a larger index, so each
+    # layer is in ascending order; and the last variable takes input 0 and
+    # a larger index than the one before it, since flipping its input and
+    # output keeps the function.  The last variable is placed inline, one
+    # call above, unless it is the only one.
     tables, forms = [], []
     table_found, form_found = tables.append, forms.append
 
@@ -170,11 +149,8 @@ def _witness_of(bits, k):
 
 
 def completion(subset, order):
-    """Prefix of the test order ending at the latest tested member of subset.
-
-    Returns {order[0], ..., order[r-1]} where r is the largest layer whose
-    variable lies in ``subset``.  Empty subsets have no completion.
-    """
+    """Prefix of the test order ending at the latest tested member of a
+    nonempty ``subset``, as a frozenset."""
     subset = frozenset(subset)
     if not subset:
         raise ValueError("completion is undefined for the empty subset")
@@ -189,13 +165,9 @@ def completion(subset, order):
 
 @lru_cache(maxsize=None)
 def _criterion_constraints(order):
-    """Per-subset constraint data for the coefficient criterion.
-
-    For each nonempty proper subset mask S, yields (S, completion mask,
-    masks of the full set minus each completed-but-missing variable).  The
-    coefficient of S must equal the coefficient of its completion times
-    the product of the coefficients at those near-full masks.
-    """
+    """``(S, completion mask, near-full masks)`` for each nonempty proper
+    subset mask S: a near-full mask is the full set minus one variable of
+    the completion missing from S.  See :func:`is_ncf_wrt`."""
     k = len(order)
     full = (1 << k) - 1
     layer_of = {var: i for i, var in enumerate(order)}
@@ -222,10 +194,9 @@ def _criterion_constraints(order):
 def is_ncf_wrt(coeffs, order):
     """Coefficient criterion: is this ANF nested canalyzing in this order?
 
-    True iff the full-set coefficient is 1 and, for every nonempty proper
-    subset, the subset's coefficient equals its completion's coefficient
-    times the near-full coefficients of the variables completed over.  The
-    constant term is unconstrained.
+    True iff the full-set coefficient is 1 and each nonempty proper
+    subset's coefficient is its completion's times the near-full
+    coefficients of the variables completed over.
     """
     k = coeffs.arity
     order = tuple(order)
@@ -248,12 +219,8 @@ def is_ncf_wrt(coeffs, order):
 
 
 def is_ncf(table):
-    """Is the function nested canalyzing in at least one test order?
-
-    The coefficient criterion already forces dependence on all inputs
-    (the full-set coefficient must be 1), so constants and functions with
-    inessential variables are rejected without a special case.
-    """
+    """Is the function nested canalyzing in at least one test order?  The
+    criterion's full-set coefficient rejects inessential variables."""
     if table.arity == 0:
         return False
     coeffs = tt_to_anf(table)
@@ -266,13 +233,11 @@ def is_ncf(table):
 class NcfSet:
     """Deduplicated set of nested canalyzing truth tables of one arity.
 
-    Members are kept as their table integers in ascending order so that
-    iteration, export, and set comparisons are deterministic regardless of
-    how the set was produced; ``members`` builds their ``TruthTable``
-    objects on first access.  Each member's witness is its first cascade
-    form in the order of :func:`ncf_forms_of`: stored by the peel that
-    built the set (:func:`enumerate_ncfs`, or the data-pruned peel of
-    ``infer_ncfs``) and carried into its subsets, peeled otherwise.
+    Members are kept as their table integers in ascending order, so
+    iteration, export and comparisons are deterministic; ``members``
+    builds their ``TruthTable`` objects on first access.  Each member's
+    witness is its first form in the order of :func:`ncf_forms_of`, stored
+    by the peel that built the set and carried into its subsets.
     """
 
     __slots__ = ("arity", "_ints", "_int_set", "_witness", "_anf", "_members")
@@ -341,7 +306,8 @@ class NcfSet:
         return NcfSet._from_ints(self.arity, ints, {b: w[b] for b in ints if b in w})
 
     def _witness_triple(self, bits):
-        # the stored triple, or else the one the peel finds
+        # the stored triple, or else the one the peel finds: a set built
+        # from TruthTables stores none
         w = self._witness.get(bits)
         return _witness_of(bits, self.arity) if w is None else w
 
@@ -362,9 +328,7 @@ class NcfSet:
     def _records(self):
         # (table int, ANF line, witness triple or None) per member, in
         # member order: the one source of json_records and of the catalog
-        # report.  Stored triples come from the peel that built the set
-        # and are read as they are; only a member without one is peeled
-        # again.
+        # report
         for bits, anf in zip(self._ints, self.anf_lines()):
             yield bits, anf, self._witness_triple(bits)
 
@@ -393,35 +357,26 @@ def enumerate_ncfs(k, allow_big=False):
     an ordered partition of the variables into layers whose last layer
     holds at least two variables, one canalyzing input per variable, and
     the first layer's output, with outputs alternating from layer to
-    layer.  Its witness form lists each layer's variables in ascending
-    order and gives the last variable input 0; k = 1 has the two
-    literals.  The census is the cascade peel run with no data, which
-    yields exactly the witness forms, each once, so no deduplication is
-    needed.  Every member depends on all k variables.
+    layer.  The census is the peel run with no data, which yields each
+    function once, as its witness form; every member depends on all k
+    variables.  Sets up to SOFT_ARITY_CAP are cached.
     """
     if k < 1:
         raise ValueError(f"there are no nested canalyzing functions on {k} inputs")
-    if k > SOFT_ARITY_CAP and not allow_big:
-        raise CapacityError(
-            f"enumerating NCFs on {k} inputs needs allow_big=True "
-            f"(soft cap is {SOFT_ARITY_CAP})",
-            arity=k,
-        )
+    _check_arity(k, allow_big)
     if k in _ENUM_CACHE:
         return _ENUM_CACHE[k]
     full = (1 << (1 << k)) - 1
     witness = dict(zip(*_fitting_forms(0, 0, range(k), variable_masks(k), full)))
     result = NcfSet._from_ints(k, sorted(witness), witness)
-    if k <= 5:
+    if k <= SOFT_ARITY_CAP:
         _ENUM_CACHE[k] = result
     return result
 
 
 def _census_size(k):
-    # len(enumerate_ncfs(k)) without building it, 0 when k = 0: by the
-    # layer-structure count (Li et al., 2013, as in enumerate_ncfs),
-    # 2^(k+1) times the ordered set partitions of the k variables whose
-    # last block holds at least two of them, and 2 for k = 1
+    # len(enumerate_ncfs(k)) without building it, 0 when k = 0, by counting
+    # the layer structures that enumerate_ncfs describes
     if k == 1:
         return 2
     ordered = [1]  # ordered set partitions of 0, 1, ..., k - 2 elements
@@ -433,12 +388,10 @@ def _census_size(k):
 def ncf_forms_of(table):
     """All cascade forms generating ``table``; empty iff it is not an NCF.
 
-    The peel finds the table's witness form.  Its layers are the runs of
-    equal outputs, the last variable joining the final run once its input
-    and output are flipped to match.  Every form permutes the variables
-    within each layer and then keeps or flips the input and output of
-    whichever variable comes last.  Forms are sorted by order, then by
-    inputs and by outputs, each read from the last layer back, so the
+    From the witness, whose layers are the runs of equal outputs (the last
+    variable flipped to join the final run), every form permutes each
+    layer and keeps or flips the last variable.  Forms are sorted by order,
+    then by inputs and outputs read from the last layer back, so the
     witness comes first.
     """
     k = table.arity

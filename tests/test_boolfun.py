@@ -126,6 +126,14 @@ def test_construction_validation():
             cls.from_int(17, 0, allow_big=True)
 
 
+def test_parse_anf_checks_the_arity_before_allocating():
+    # its coefficient list has 2^arity entries: 8 GB at arity 30
+    with pytest.raises(CapacityError, match="hard cap"):
+        parse_anf("0", 30, allow_big=True)
+    with pytest.raises(CapacityError, match="soft cap"):
+        parse_anf("x1", 6)
+
+
 def test_from_int_matches_constructor():
     rng = random.Random(5)
     for k in range(7):

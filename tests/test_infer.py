@@ -40,6 +40,15 @@ def test_wiring_validation():
     assert big.in_degrees[0] == 6
 
 
+def test_wiring_checks_the_hard_cap_before_inference():
+    # infer_all on a 17-regulator node would build tables of 2^17 bits and
+    # allocate until memory ran out; the wiring refuses the node at once
+    names = [f"n{i}" for i in range(18)]
+    with pytest.raises(CapacityError, match="hard cap") as e:
+        WiringDiagram(names, [list(range(1, 18))] + [[]] * 17, allow_big=True)
+    assert e.value.context == {"node": "n0"}
+
+
 def test_timecourse_validation():
     with pytest.raises(ValueError):
         TimeCourse(["A"], [[0]])  # one row is not a transition

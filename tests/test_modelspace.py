@@ -162,6 +162,16 @@ def test_model_space_materialization():
     assert interpolant(d) in tables
 
 
+def test_local_data_checks_the_arity():
+    # ModelSpace.from_data lists all 2^k table indices, so the arity is
+    # capped before any data is read
+    with pytest.raises(CapacityError, match="hard cap"):
+        LocalData(17, [])
+    with pytest.raises(ValueError, match="nonnegative"):
+        LocalData(-1, [])
+    assert LocalData(16, []).arity == 16
+
+
 def test_model_space_materialization_cap():
     pairs = [((tuple((p >> i) & 1 for i in range(5))), 0) for p in range(4)]
     space = ModelSpace.from_data(LocalData(5, pairs))

@@ -212,6 +212,21 @@ def test_enumerate_rejects_bad_arity():
         enumerate_ncfs(6)
 
 
+def test_enumerate_checks_the_hard_cap_before_allocating():
+    # the census on 17 inputs would be tables of 2^17 bits each, and the
+    # peel would allocate until memory ran out
+    with pytest.raises(CapacityError, match="hard cap"):
+        enumerate_ncfs(17, allow_big=True)
+
+
+def test_ncf_from_form_checks_the_hard_cap_before_allocating():
+    # its value list has 2^k entries: 8 GB at k = 30
+    k = 30
+    form = NcfForm(tuple(range(1, k + 1)), (0,) * k, (0,) * k)
+    with pytest.raises(CapacityError, match="hard cap"):
+        ncf_from_form(form)
+
+
 def test_ncf_forms_of():
     assert ncf_forms_of(XOR2) == []
     neg_forms = ncf_forms_of(TruthTable(1, [1, 0]))
