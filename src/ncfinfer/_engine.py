@@ -5,7 +5,6 @@ phase-space call.  The README's ``dynamics`` section describes its design.
 
 import numpy as np
 
-from .dynamics import PhaseSpace
 from .errors import InvariantViolation
 
 _BLOCK = 1 << 16  # index entries per np.take call or scatter
@@ -229,17 +228,6 @@ def _components(succ, n):
     label = _scatter(np.zeros(size, dtype=np.int32), cycle, comp)
     del cycle, comp
     return _gather(label, land), rotated, ends
-
-
-def _analyze(succ, n):
-    component_of, cycle_states, cycle_ends = _components(succ, n)
-    return PhaseSpace(
-        n=n,
-        successor=succ,
-        component_of=component_of,
-        cycle_states=cycle_states,
-        cycle_ends=cycle_ends,
-    )
 
 
 def _component_sizes(space):

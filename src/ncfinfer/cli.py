@@ -190,10 +190,11 @@ def cmd_infer(args):
     return 0
 
 
-def _ncf_records_json(ncfs):
-    # ncfs.json_records() as a top-level value, each record one f-string of
-    # cached int lists and witness heads.  ANF text ([0-9x*+ ]) needs no JSON
-    # escaping; an enumerated catalog is never empty and carries witnesses.
+def _ncf_records_json(ncfs, lines):
+    # ncfs.json_records() as a top-level value, given ncfs.anf_lines(), each
+    # record one f-string of cached int lists and witness heads.  ANF text
+    # ([0-9x*+ ]) needs no JSON escaping; an enumerated catalog is never
+    # empty and carries witnesses.
     lists, heads = {}, {}
 
     def int_list(t):
@@ -203,7 +204,7 @@ def _ncf_records_json(ncfs):
         return lists[t]
 
     records = []
-    for bits, anf, (order, inputs, outputs) in ncfs._records():
+    for bits, anf, (order, inputs, outputs) in zip(ncfs._ints, lines, ncfs._forms):
         head = heads.get((inputs, order))
         if head is None:
             head = heads[inputs, order] = (
@@ -219,10 +220,12 @@ def _ncf_records_json(ncfs):
 
 def cmd_enumerate(args):
     ncfs = enumerate_ncfs(args.k)
-    text = "\n".join(ncfs.anf_lines()) + "\n"
+    lines = ncfs.anf_lines()
+    text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
-        payload = {"arity": args.k, "count": len(ncfs), "ncfs": _ncf_records_json(ncfs)}
+        records = _ncf_records_json(ncfs, lines)
+        payload = {"arity": args.k, "count": len(ncfs), "ncfs": records}
         _write_outputs(
             args.out,
             {

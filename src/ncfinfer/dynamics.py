@@ -11,6 +11,7 @@ import random
 import struct
 import threading
 from functools import cached_property
+from operator import methodcaller
 from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .boolfun import _check_bits, evaluate, point_to_index
@@ -146,11 +147,18 @@ def phase_space(network):
     290 MB at n = 24) and at 30 bytes per state when every state is a
     fixed point (about 500 MB at n = 24).
     """
-    from ._engine import _analyze, _base_map
+    from ._engine import _base_map
 
     n = _network_size(network.wiring)
     singles = [(i, t.to_int()) for i, t in enumerate(network.tables)]
     return _analyze(_base_map(n, network.wiring.regulators, singles), n)
+
+
+def _analyze(succ, n):
+    """The ``PhaseSpace`` of the successor map ``succ`` on n nodes."""
+    from ._engine import _components
+
+    return PhaseSpace(n, succ, *_components(succ, n))
 
 
 def attractors(space):
@@ -221,21 +229,13 @@ def _node_sampler(rec, mode):
 
     ``draw(rng)`` picks one of ``count`` candidates, consuming random bits
     exactly as drawing the function object would, and ``table(row)`` is
-    the table int of candidate ``row``.
+    the table int of candidate ``row``.  In ncf mode the draw is
+    ``rng.randrange(count)``.
     """
     if mode == "ncf":
         ints = rec.ncfs.to_ints()
         if ints:
-            count, width = len(ints), len(ints).bit_length()
-
-            def draw(rng):
-                # rng.randrange(count), with the same bits and rejections
-                row = rng.getrandbits(width)
-                while row >= count:
-                    row = rng.getrandbits(width)
-                return row
-
-            return count, draw, ints.__getitem__
+            return len(ints), methodcaller("randrange", len(ints)), ints.__getitem__
         forced = rec.forced
         if forced is not None:
             return 1, _draw_nothing, (forced.to_int(),).__getitem__

@@ -12,7 +12,7 @@ from typing import NamedTuple
 from .boolfun import TruthTable, _check_arity, _check_bits, variable_masks
 from .errors import CapacityError, InconsistentDataError
 from .modelspace import LocalData, interpolant, model_space_size
-from .ncf import NcfSet, _fitting_forms, enumerate_ncfs
+from .ncf import NcfSet, _fitting_forms, _peeled, enumerate_ncfs
 
 __all__ = [
     "WiringDiagram",
@@ -177,15 +177,7 @@ def infer_ncfs(wiring, timecourses, node):
 
 def _fitting_ncfs(data):
     k = data.arity
-    tables, forms = _fitting_forms(
-        data._value_bits,
-        data._seen_bits,
-        range(k),
-        variable_masks(k),
-        (1 << (1 << k)) - 1,
-    )
-    witness = dict(zip(tables, forms))
-    return NcfSet._from_ints(k, sorted(witness), witness)
+    return NcfSet._of(k, _peeled(k, data._seen_bits, data._value_bits))
 
 
 def near_misses(wiring, timecourses, node):

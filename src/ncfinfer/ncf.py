@@ -6,8 +6,10 @@ the design.
 """
 
 import itertools
+from bisect import bisect_left
 from functools import lru_cache
 from math import comb
+from operator import itemgetter
 from typing import NamedTuple
 
 from .boolfun import (
@@ -141,11 +143,18 @@ def _fitting_forms(value, seen, free, varmasks, undecided):
     return tables, forms
 
 
+def _peeled(k, seen, value):
+    # the ascending (table int, witness) pairs of the nested canalyzing
+    # functions on k inputs that take `value` on the mask `seen`
+    full = (1 << (1 << k)) - 1
+    found = _fitting_forms(value, seen, range(k), variable_masks(k), full)
+    return sorted(zip(*found), key=itemgetter(0))
+
+
 def _witness_of(bits, k):
     # the witness form of the table `bits` on k inputs, or None
-    full = (1 << (1 << k)) - 1
-    _, forms = _fitting_forms(bits, full, range(k), variable_masks(k), full)
-    return forms[0] if forms else None
+    pairs = _peeled(k, (1 << (1 << k)) - 1, bits)
+    return pairs[0][1] if pairs else None
 
 
 def completion(subset, order):
@@ -233,14 +242,17 @@ def is_ncf(table):
 class NcfSet:
     """Deduplicated set of nested canalyzing truth tables of one arity.
 
-    Members are kept as their table integers in ascending order, so
-    iteration, export and comparisons are deterministic; ``members``
-    builds their ``TruthTable`` objects on first access.  Each member's
-    witness is its first form in the order of :func:`ncf_forms_of`, stored
-    by the peel that built the set and carried into its subsets.
+    Members are held as two aligned tuples: their table integers in
+    ascending order, so iteration, export and comparisons are
+    deterministic, and their witnesses, each the first form in the order
+    of :func:`ncf_forms_of` as an (order, inputs, outputs) triple, or None
+    for a member that is not nested canalyzing.  A set built from the peel
+    takes the witnesses the peel found; the public constructor finds each
+    member's once.  ``members`` builds the ``TruthTable`` objects on first
+    access.
     """
 
-    __slots__ = ("arity", "_ints", "_int_set", "_witness", "_anf", "_members")
+    __slots__ = ("arity", "_ints", "_forms", "_members")
 
     def __init__(self, arity, members):
         ints = set()
@@ -248,22 +260,17 @@ class NcfSet:
             if t.arity != arity:
                 raise ValueError("all members must share the set's arity")
             ints.add(t.to_int())
-        self._init(arity, sorted(ints), {})
+        self.arity, self._members = arity, None
+        self._ints = tuple(sorted(ints))
+        self._forms = tuple([_witness_of(b, arity) for b in self._ints])
 
     @classmethod
-    def _from_ints(cls, arity, ints, witness):
-        # `ints` ascending and distinct, `witness` owned by the new set
+    def _of(cls, arity, pairs):
+        # the set of the ascending (table int, witness) pairs `pairs`
         self = object.__new__(cls)
-        self._init(arity, ints, witness)
+        self.arity, self._members = arity, None
+        self._ints, self._forms = zip(*pairs) if pairs else ((), ())
         return self
-
-    def _init(self, arity, ints, witness):
-        self.arity = arity
-        self._ints = tuple(ints)
-        self._int_set = frozenset(self._ints)
-        self._witness = witness
-        self._anf = None
-        self._members = None
 
     @property
     def members(self):
@@ -285,52 +292,40 @@ class NcfSet:
         return iter(self.members)
 
     def __contains__(self, table):
-        return table.arity == self.arity and table.to_int() in self._int_set
+        bits = table.to_int()
+        i = bisect_left(self._ints, bits)
+        return table.arity == self.arity and self._ints[i : i + 1] == (bits,)
 
     def __eq__(self, other):
         if not isinstance(other, NcfSet):
             return NotImplemented
-        return self.arity == other.arity and self._int_set == other._int_set
+        return (self.arity, self._ints) == (other.arity, other._ints)
 
     def __hash__(self):
-        return hash((self.arity, self._int_set))
+        return hash((self.arity, self._ints))
 
     def __repr__(self):
         return f"NcfSet(arity={self.arity}, size={len(self)})"
 
     def fitting(self, seen_bits, value_bits):
         """Subset of members equal to ``value_bits`` on the points of the
-        mask ``seen_bits``; witnesses are carried over."""
-        ints = [b for b in self._ints if b & seen_bits == value_bits]
-        w = self._witness
-        return NcfSet._from_ints(self.arity, ints, {b: w[b] for b in ints if b in w})
-
-    def _witness_triple(self, bits):
-        # the stored triple, or else the one the peel finds: a set built
-        # from TruthTables stores none
-        w = self._witness.get(bits)
-        return _witness_of(bits, self.arity) if w is None else w
+        mask ``seen_bits``, with their witnesses."""
+        return NcfSet._of(
+            self.arity,
+            [p for p in zip(self._ints, self._forms) if p[0] & seen_bits == value_bits],
+        )
 
     def witness(self, table):
         """One cascade form generating ``table``, or None if it has none."""
         if table not in self:
             raise KeyError(f"{table!r} is not a member")
-        w = self._witness_triple(table.to_int())
+        w = self._forms[bisect_left(self._ints, table.to_int())]
         return None if w is None else NcfForm(*w)
 
     def anf_lines(self):
         """Canonical ANF strings, one per member, in member order."""
-        if self._anf is None:
-            k = self.arity
-            self._anf = tuple([_anf_text(b, k) for b in self._ints])
-        return list(self._anf)
-
-    def _records(self):
-        # (table int, ANF line, witness triple or None) per member, in
-        # member order: the one source of json_records and of the catalog
-        # report
-        for bits, anf in zip(self._ints, self.anf_lines()):
-            yield bits, anf, self._witness_triple(bits)
+        k = self.arity
+        return [_anf_text(b, k) for b in self._ints]
 
     def json_records(self):
         """JSON-ready records: table integer, ANF, and one witness form."""
@@ -342,7 +337,7 @@ class NcfSet:
                 if w is None
                 else dict(zip(("order", "inputs", "outputs"), map(list, w))),
             }
-            for bits, anf, w in self._records()
+            for bits, anf, w in zip(self._ints, self.anf_lines(), self._forms)
         ]
 
 
@@ -366,9 +361,7 @@ def enumerate_ncfs(k, allow_big=False):
     _check_arity(k, allow_big)
     if k in _ENUM_CACHE:
         return _ENUM_CACHE[k]
-    full = (1 << (1 << k)) - 1
-    witness = dict(zip(*_fitting_forms(0, 0, range(k), variable_masks(k), full)))
-    result = NcfSet._from_ints(k, sorted(witness), witness)
+    result = NcfSet._of(k, _peeled(k, 0, 0))
     if k <= SOFT_ARITY_CAP:
         _ENUM_CACHE[k] = result
     return result

@@ -1,0 +1,379 @@
+"""Show that the test suite catches deliberate faults in the package.
+
+Run from the root of a checkout:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+Copies ``src/``, ``tests/``, ``tools/`` and ``pyproject.toml`` to a
+temporary directory and runs the tests of every selected mutant there,
+unmutated, which must pass.  Then it applies one mutant at a time: an
+exact source fragment, which must occur once in its file, is replaced, the
+mutant's tests run, and the file is restored.  A mutant is killed when its
+tests fail or run past TIMEOUT_S.  Exits 1 unless the unmutated tree
+passes and every mutant in MUTANTS is killed.
+
+EQUIVALENT lists mutants that change no output, each with the reason.
+They run too, and are never counted as kills; one that is killed is not
+equivalent, and the script exits 1 until it is moved to MUTANTS.  A
+mutant is never deleted to make the list pass.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "tools", "pyproject.toml")
+TIMEOUT_S = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/ncfinfer
+    fragment: str
+    replacement: str
+    tests: tuple  # pytest node ids, relative to the root
+    reason: str = ""  # why an equivalent mutant changes no output
+
+
+NCF = "tests/test_ncf.py"
+INFER = "tests/test_infer.py"
+DYN = "tests/test_dynamics.py"
+MODEL = "tests/test_modelspace.py"
+BOOL = "tests/test_boolfun.py"
+CLI = "tests/test_cli.py"
+
+MUTANTS = (
+    # NcfSet: aligned member and witness tuples
+    Mutant(
+        "membership-bound", "ncf.py",
+        "self._ints[i : i + 1] == (bits,)", "i < len(self._ints)",
+        (f"{NCF}::test_ncf_set_built_from_tables",),
+    ),
+    Mutant(
+        "membership-arity", "ncf.py",
+        "return table.arity == self.arity and self._ints",
+        "return self._ints",
+        (f"{NCF}::test_ncf_set_built_from_tables",),
+    ),
+    Mutant(
+        "equality-arity", "ncf.py",
+        "return (self.arity, self._ints) == (other.arity, other._ints)",
+        "return self._ints == other._ints",
+        (f"{NCF}::test_ncf_set_built_from_tables",),
+    ),
+    Mutant(
+        "fitting-filter", "ncf.py",
+        "if p[0] & seen_bits == value_bits]",
+        "if p[0] & value_bits == value_bits]",
+        (f"{NCF}::test_fitting_keeps_the_members_equal_to_the_data_and_their_"
+         "witnesses",),
+    ),
+    Mutant(
+        "constructor-witness", "ncf.py",
+        "self._forms = tuple([_witness_of(b, arity) for b in self._ints])",
+        "self._forms = (None,) * len(self._ints)",
+        (f"{NCF}::test_ncf_set_built_from_tables",),
+    ),
+    Mutant(
+        "peel-unsorted", "ncf.py",
+        "return sorted(zip(*found), key=itemgetter(0))",
+        "return list(zip(*found))",
+        (f"{NCF}::test_lazy_members_are_the_sorted_census_tables",),
+    ),
+    # the peel's witness rules
+    Mutant(
+        "peel-layer-ascending", "ncf.py",
+        "for b in (1 - prev_b,) if v < prev else (0, 1):",
+        "for b in (0, 1):",
+        (f"{NCF}::test_census_counts_against_form_oracle",),
+    ),
+    Mutant(
+        "peel-last-pair-ascending", "ncf.py",
+        "if w < v:", "if w < v < 0:",
+        (f"{NCF}::test_census_counts_against_form_oracle",),
+    ),
+    Mutant(
+        "peel-last-input-zero", "ncf.py",
+        "insw = ins + (0,)", "insw = ins + (1,)",
+        (f"{NCF}::test_witness_forms_regenerate_members",),
+    ),
+    # the two routes of check
+    Mutant(
+        "cross-check-compare", "infer.py",
+        "return route_peel == route_census", "return True",
+        (f"{INFER}::test_cross_check_catches_a_dropped_member",),
+    ),
+    # the ncf-mode draw
+    Mutant(
+        "ncf-draw-count", "dynamics.py",
+        'methodcaller("randrange", len(ints))',
+        'methodcaller("randrange", len(ints) | 1)',
+        (f"{DYN}::test_node_samplers_match_the_object_draw",),
+    ),
+    # every _check_bits call
+    Mutant(
+        "bits-truth-table", "boolfun.py",
+        "        _check_bits(entries, self._what)\n", "",
+        (f"{BOOL}::test_construction_validation",),
+    ),
+    Mutant(
+        "bits-point-index", "boolfun.py",
+        '    _check_bits(point, "point")\n', "",
+        (f"{BOOL}::test_construction_validation",),
+    ),
+    Mutant(
+        "bits-step-state", "dynamics.py",
+        '    _check_bits(state, "state")\n    return tuple(', "    return tuple(",
+        (f"{DYN}::test_states_reject_entries_other_than_bits",),
+    ),
+    Mutant(
+        "bits-trajectory-state", "dynamics.py",
+        '    _check_bits(state, "state")\n    return point_to_index(',
+        "    return point_to_index(",
+        (f"{DYN}::test_states_reject_entries_other_than_bits",),
+    ),
+    Mutant(
+        "bits-timecourse-row", "infer.py",
+        '            _check_bits(row, f"row {t + 1}")\n', "",
+        (f"{INFER}::test_timecourse_rejects_cells_other_than_int_bits",),
+    ),
+    Mutant(
+        "bits-local-data-point", "modelspace.py",
+        '            _check_bits(point, "point")\n', "",
+        (f"{MODEL}::test_local_data_rejects_entries_other_than_0_1",),
+    ),
+    Mutant(
+        "bits-local-data-output", "modelspace.py",
+        '            _check_bits((out,), "output")\n', "",
+        (f"{MODEL}::test_local_data_rejects_entries_other_than_0_1",),
+    ),
+    Mutant(
+        "bits-form-inputs", "ncf.py",
+        '        _check_bits(inputs, "canalyzing inputs")\n', "",
+        (f"{NCF}::test_form_rejects_values_other_than_int_bits",),
+    ),
+    Mutant(
+        "bits-form-outputs", "ncf.py",
+        '        _check_bits(outputs, "canalyzed outputs")\n', "",
+        (f"{NCF}::test_form_rejects_values_other_than_int_bits",),
+    ),
+    # the unrestricted sampler's byte order
+    Mutant(
+        "sampler-byte-order", "modelspace.py",
+        "for shift, entries in spread:", "for shift, entries in spread[::-1]:",
+        (f"{MODEL}::test_int_sampler_matches_sample",),
+    ),
+    # the successor map's byte lanes
+    Mutant(
+        "lane-byte", "_engine.py",
+        "octets[:, j] = lane", "octets[:, j ^ 1] = lane",
+        (f"{DYN}::test_successor_map_matches_step_across_byte_lanes",),
+    ),
+    Mutant(
+        "lane-period", "_engine.py",
+        "max(regs, default=0) + 1))", "max(regs, default=0)))",
+        (f"{DYN}::test_successor_map_matches_step_across_byte_lanes",),
+    ),
+    # doubling and pointer jumping
+    Mutant(
+        "doubling-stop", "_engine.py",
+        "if count == last:", "if count <= last + 1:",
+        (f"{DYN}::test_analyze_matches_the_oracle_on_shaped_maps",),
+    ),
+    Mutant(
+        "doubling-rounds", "_engine.py",
+        "for _ in range(n):", "for _ in range(n // 2):",
+        (f"{DYN}::test_analyze_matches_the_oracle_on_shaped_maps",),
+    ),
+    Mutant(
+        "jump-offset", "_engine.py",
+        "_gather(ahead, ptr) + w,", "_gather(ahead, ptr) + 1,",
+        (f"{DYN}::test_analyze_matches_the_oracle_on_shaped_maps",),
+    ),
+    Mutant(
+        "rotation", "_engine.py",
+        "    at -= ahead\n", "",
+        (f"{DYN}::test_analyze_matches_the_oracle_on_shaped_maps",),
+    ),
+    # the attractor report
+    Mutant(
+        "separator-rewrite", "_engine.py",
+        "    rows[other, n:] = seps[int(not usual)]\n", "",
+        (f"{CLI}::test_dynamics_report_matches_the_oracle",),
+    ),
+    # the ANF tables
+    Mutant(
+        "anf-unit-k4", "boolfun.py",
+        "units.append(sum(1 << p for p, m in enumerate(masks) if (c >> m) & 1))",
+        "units.append(sum(1 << p for p, m in enumerate(masks) if (c >> m) & 1)"
+        " ^ (arity == 4 and point == 5))",
+        (f"{BOOL}::test_anf_text_matches_the_oracle_on_every_small_table",),
+    ),
+    # the worker count's fork rules
+    Mutant(
+        "fork-while-threaded", "dynamics.py",
+        "threading.active_count() > 1", "threading.active_count() > 99",
+        (f"{DYN}::test_no_fork_while_another_thread_runs",),
+    ),
+    Mutant(
+        "fork-outgrown-chunk", "dynamics.py",
+        "1 << n > ENSEMBLE_STATES", "1 << n > 2 * ENSEMBLE_STATES",
+        (f"{DYN}::test_no_fork_when_a_sample_outgrows_a_chunk",),
+    ),
+    Mutant(
+        "fork-without-fork", "dynamics.py",
+        'not hasattr(os, "fork") or ', "",
+        (f"{DYN}::test_no_fork_without_os_fork",),
+    ),
+    # _forked: kill, reap, status, length and rerun
+    Mutant(
+        "forked-kill", "dynamics.py",
+        "                os.kill(pid, SIGKILL)\n", "",
+        (f"{DYN}::test_an_error_here_kills_the_children",),
+    ),
+    Mutant(
+        "forked-reap", "dynamics.py",
+        "                os.waitpid(pid, 0)\n", "",
+        (f"{DYN}::test_an_error_here_kills_the_children",),
+    ),
+    Mutant(
+        "forked-status", "dynamics.py",
+        "if status == 0 and len(data)", "if len(data)",
+        (f"{DYN}::test_a_failed_child_leaves_the_stats_unchanged",),
+    ),
+    Mutant(
+        "forked-length", "dynamics.py",
+        "and len(data) == 8 * lengths[k]:", ":",
+        (f"{DYN}::test_a_failed_child_leaves_the_stats_unchanged",),
+    ),
+    Mutant(
+        "forked-rerun", "dynamics.py",
+        "results.append(run(parts[k]) if values is None else values)",
+        "results.append(values or [])",
+        (f"{DYN}::test_a_failed_child_leaves_the_stats_unchanged",),
+    ),
+)
+
+EQUIVALENT = (
+    Mutant(
+        "peel-sort-key", "ncf.py",
+        "sorted(zip(*found), key=itemgetter(0))", "sorted(zip(*found))",
+        (f"{NCF}::test_lazy_members_are_the_sorted_census_tables",),
+        "the peel yields each table int once, so sorting the pairs orders "
+        "them by int and never compares two witnesses",
+    ),
+    Mutant(
+        "witness-last-pair", "ncf.py",
+        "return pairs[0][1] if pairs else None",
+        "return pairs[-1][1] if pairs else None",
+        (f"{NCF}::test_witness_is_first_form_of_full_scan",),
+        "a peel against the whole table finds at most one function",
+    ),
+    Mutant(
+        "peel-lone-last", "ncf.py",
+        "if v > prev:", "if True:",
+        (f"{NCF}::test_census_counts_against_form_oracle",),
+        "a lone variable is placed only by a call on one free variable, "
+        "which is the top call, where prev is -1",
+    ),
+    Mutant(
+        "ncf-draw-range", "dynamics.py",
+        'methodcaller("randrange", len(ints))',
+        'methodcaller("randrange", 0, len(ints), 1)',
+        (f"{DYN}::test_node_samplers_match_the_object_draw",),
+        "randrange with a start of 0 and a step of 1 takes the same bits",
+    ),
+    Mutant(
+        "separator-default", "_engine.py",
+        "usual = 2 * len(ends) > len(states)", "usual = True",
+        (f"{CLI}::test_dynamics_report_matches_the_oracle",),
+        "either default separator renders the same bytes; the rule only "
+        "rewrites the fewer rows",
+    ),
+)
+
+
+def _run(tree, tests):
+    """``(passed, why)``: whether the tests pass, and the first failure."""
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+            *tests]
+    try:
+        done = subprocess.run(argv, cwd=tree, env=env, capture_output=True,
+                              text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False, f"timed out after {TIMEOUT_S} s"
+    lines = done.stdout.splitlines()
+    failed = [ln for ln in lines if ln.startswith(("FAILED", "ERROR"))]
+    return done.returncode == 0, (failed or [f"exit status {done.returncode}"])[0]
+
+
+def _applied(tree, mutant, run):
+    path = tree / "src" / "ncfinfer" / mutant.path
+    source = path.read_text()
+    found = source.count(mutant.fragment)
+    if found != 1:
+        raise SystemExit(f"{mutant.name}: fragment occurs {found} times")
+    mutated = source.replace(mutant.fragment, mutant.replacement)
+    compile(mutated, str(path), "exec")  # a kill must come from behaviour
+    path.write_text(mutated)
+    try:
+        return run()
+    finally:
+        path.write_text(source)
+
+
+def main(names):
+    pick = (lambda m: m.name in names) if names else (lambda m: True)
+    mutants = [m for m in MUTANTS if pick(m)]
+    equivalent = [m for m in EQUIVALENT if pick(m)]
+    unknown = set(names) - {m.name for m in (*MUTANTS, *EQUIVALENT)}
+    if unknown:
+        raise SystemExit(f"unknown mutants: {sorted(unknown)}")
+    survived, killed_equivalent = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, tree / name,
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy(src, tree / name)
+        tests = sorted({t for m in (*mutants, *equivalent) for t in m.tests})
+        passed, why = _run(tree, tests)
+        if not passed:
+            raise SystemExit(f"FAIL: the unmutated tree fails: {why}")
+        print(f"unmutated tree passes {len(tests)} test ids", flush=True)
+        for m in mutants:
+            t = time.monotonic()
+            passed, why = _applied(tree, m, lambda: _run(tree, m.tests))
+            print(f"{'SURVIVED' if passed else 'killed':9} {m.name}"
+                  f"  ({time.monotonic() - t:.1f} s)  {'' if passed else why}",
+                  flush=True)
+            if passed:
+                survived.append(m.name)
+        for m in equivalent:
+            passed, _ = _applied(tree, m, lambda: _run(tree, m.tests))
+            print(f"{'equiv' if passed else 'KILLED':9} {m.name}: {m.reason}",
+                  flush=True)
+            if not passed:
+                killed_equivalent.append(m.name)
+    print(f"{len(mutants) - len(survived)} of {len(mutants)} mutants killed; "
+          f"{len(equivalent)} equivalent listed apart")
+    for name in survived:
+        print(f"FAIL: {name} survived")
+    for name in killed_equivalent:
+        print(f"FAIL: {name} is listed as equivalent but was killed")
+    return 1 if survived or killed_equivalent else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -16,9 +16,10 @@ import ncfinfer
 import oracles
 from ncfinfer import _engine, cli, formats
 from ncfinfer import ncf as ncf_module
-from ncfinfer._engine import _analyze, _attractor_bits, _decimal
+from ncfinfer._engine import _attractor_bits, _decimal
 from ncfinfer.cli import run
 from ncfinfer.datasets import yeast_timecourse_path, yeast_wiring_path
+from ncfinfer.dynamics import _analyze
 from ncfinfer.errors import ParseError
 from ncfinfer.formats import (
     parse_rules,

@@ -18,12 +18,12 @@ from hypothesis import strategies as st
 import oracles
 from ncfinfer import _engine
 from ncfinfer import dynamics as dynamics_module
-from ncfinfer._engine import _analyze
 from ncfinfer.boolfun import TruthTable, point_to_index
 from ncfinfer.dynamics import (
     BooleanNetwork,
     EnsembleStats,
     PhaseSpace,
+    _analyze,
     attractors,
     phase_space,
     sample_ensemble,

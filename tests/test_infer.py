@@ -321,13 +321,8 @@ def test_cross_check_catches_a_dropped_member(yeast, monkeypatch):
         assert len(census.fitting(d._seen_bits, d._value_bits)) == 11
         assert not cross_check(wiring, course, i)
     assert cross_check(wiring, course, i)
-    real_peel = infer_module._fitting_forms
-
-    def drop_first(*args):
-        tables, forms = real_peel(*args)
-        return tables[1:], forms[1:]
-
-    monkeypatch.setattr(infer_module, "_fitting_forms", drop_first)
+    real_peel = infer_module._peeled
+    monkeypatch.setattr(infer_module, "_peeled", lambda *args: real_peel(*args)[1:])
     assert len(infer_ncfs(wiring, course, i)) == 11
     assert not cross_check(wiring, course, i)
 

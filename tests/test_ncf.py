@@ -435,6 +435,37 @@ def test_fitting_keeps_the_members_equal_to_the_data_and_their_witnesses():
         assert fit.witness(t) == ncfs.witness(t)
 
 
+def test_ncf_set_built_from_tables():
+    census = enumerate_ncfs(2)
+    nor2 = TruthTable(2, [1, 0, 0, 0])
+    # a table that is not nested canalyzing is a member without a witness
+    mixed = NcfSet(2, [XOR2, AND2, nor2, AND2])
+    assert mixed.to_ints() == (1, 6, 8)
+    assert mixed.witness(XOR2) is None
+    for t in (AND2, nor2):
+        assert mixed.witness(t) == census.witness(t)
+    records = mixed.json_records()
+    assert [r["table"] for r in records] == [1, 6, 8]
+    assert [r["witness_form"] is None for r in records] == [False, True, False]
+    fit = mixed.fitting(0b0001, 0)
+    assert fit.to_ints() == (6, 8)
+    assert fit.witness(XOR2) is None
+    assert fit.witness(AND2) == census.witness(AND2)
+    # the same tables make an equal set with an equal hash
+    rebuilt = NcfSet(2, census.members)
+    assert rebuilt == census and hash(rebuilt) == hash(census)
+    assert rebuilt != mixed and NcfSet(1, []) != NcfSet(2, [])
+    # membership outside the members' range or arity
+    low, high = census.to_ints()[0], census.to_ints()[-1]
+    assert (low, high) == (1, 14)
+    for bits in (0, 15):
+        assert TruthTable.from_int(2, bits) not in census
+    assert TruthTable.from_int(3, 8) not in census
+    assert AND2 in census and XOR2 not in census and XOR2 in mixed
+    with pytest.raises(KeyError):
+        census.witness(XOR2)
+
+
 def test_catalog_lines_match_anf_string_every_small_census_member():
     for k in (1, 2, 3, 4):
         ncfs = enumerate_ncfs(k)
