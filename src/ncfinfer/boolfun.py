@@ -6,8 +6,7 @@ table or as ANF coefficients, both packed into one int; the README's
 """
 
 from functools import lru_cache
-from itertools import compress
-from operator import add, itemgetter, xor
+from operator import add, xor
 
 from .errors import CapacityError
 
@@ -287,32 +286,14 @@ def _anf_rows(arity):
 def _anf_text(bits, arity):
     # anf_string of the ANF of the table packed in the int `bits`
     if arity > SOFT_ARITY_CAP:
-        return _picked_text(xor_transform(bits, arity), arity)
+        # monomial m is in the ANF when binary digit m of its int is set
+        digits = format(xor_transform(bits, arity), f"0{1 << arity}b")[::-1]
+        masks, texts = _monomial_order(arity)
+        return " + ".join(t for m, t in zip(masks, texts) if digits[m] == "1") or "0"
     (a0, a1, a2, a3), (t0, t1, t2, t3) = _anf_rows(arity)
     r = a0[bits & 255] ^ a1[bits >> 8 & 255] ^ a2[bits >> 16 & 255] ^ a3[bits >> 24]
     text = "".join((t0[r & 255], t1[r >> 8 & 255], t2[r >> 16 & 255], t3[r >> 24]))
     return text[3:] or "0"
-
-
-@lru_cache(maxsize=None)
-def _picker(arity):
-    # (format spec, picker, monomial texts) above the soft cap.  The picker
-    # takes a coefficient vector's binary string, mask m at position
-    # 2**arity - 1 - m, and returns its entries in print order; its spare
-    # last index keeps the result a tuple, and compress stops before it.
-    n = 1 << arity
-    masks, texts = _monomial_order(arity)
-    return f"0{n}b", itemgetter(*(n - 1 - m for m in masks), 0), texts
-
-
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _picked_text(c, arity):
-    # anf_string of the coefficient vector packed in the int c
-    spec, picker, texts = _picker(arity)
-    chosen = picker(format(c, spec).encode().translate(_BIT_BYTES))
-    return " + ".join(compress(texts, chosen)) or "0"
 
 
 def anf_string(coeffs):

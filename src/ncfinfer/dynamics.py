@@ -8,7 +8,6 @@ first phase-space call, so inference alone never loads numpy.
 
 import os
 import random
-import struct
 import threading
 from functools import cached_property
 from operator import methodcaller
@@ -279,59 +278,40 @@ def _worker_count(n, chunks):
     return min(cpus, chunks)
 
 
-def _forked(run, parts, lengths):
-    """``[run(part) for part in parts]``, where ``run(part)`` returns a list
-    of ``lengths[k]`` ints of the int64 range, for part ``parts[k]``.
+def _forked(run, parts):
+    """Run ``run(part)`` for every part of ``parts``, for its effect.
 
     Every part but the first runs in a child forked before any part runs,
-    sharing the caller's arrays copy-on-write; this process runs the first
-    part, then reads each child's list from its pipe and reaps it.  A child
-    leaves only through ``os._exit``.  Where a child exits nonzero, sends
-    short data or cannot be forked, this process runs its part itself, so
-    errors surface in part order with their own type.  If this process
-    raises, every child still running is killed and reaped.
+    sharing the caller's arrays copy-on-write and its shared mappings;
+    this process runs the first part, then reaps each child.  A child
+    leaves only through ``os._exit``.  Where a child exits nonzero or
+    cannot be forked, this process runs its part again itself, so errors
+    surface in part order with their own type and whatever the child
+    wrote is overwritten.  If this process raises, every child still
+    running is killed and reaped.
     """
-    children, pipes = {}, {}  # part number -> child pid, read end of its pipe
+    children = {}  # part number -> child pid
     try:
         for k in range(1, len(parts)):
-            r, w = os.pipe()
             try:
                 pid = os.fork()
             except OSError:  # out of processes: the part runs here
-                os.close(r)
-                os.close(w)
                 continue
             if pid == 0:
                 code = 1
                 try:
-                    os.close(r)
-                    values = run(parts[k])
-                    data = memoryview(struct.pack(f"{len(values)}q", *values))
-                    while data:
-                        data = data[os.write(w, data):]
+                    run(parts[k])
                     code = 0
                 finally:
                     os._exit(code)
-            os.close(w)
-            children[k], pipes[k] = pid, r
-        results = [run(parts[0])]
+            children[k] = pid
+        run(parts[0])
         for k in range(1, len(parts)):
-            values = None
-            if k in children:
-                blocks = []
-                while block := os.read(pipes[k], 1 << 16):
-                    blocks.append(block)
-                os.close(pipes.pop(k))
-                status = os.waitpid(children[k], 0)[1]
-                del children[k]
-                data = b"".join(blocks)
-                if status == 0 and len(data) == 8 * lengths[k]:
-                    values = memoryview(data).cast("q").tolist()
-            results.append(run(parts[k]) if values is None else values)
-        return results
+            failed = k not in children or os.waitpid(children[k], 0)[1]
+            children.pop(k, None)
+            if failed:
+                run(parts[k])
     finally:
-        for r in pipes.values():
-            os.close(r)
         if children:  # left only by an error; signal loads only then
             from signal import SIGKILL
 
@@ -360,7 +340,9 @@ def sample_ensemble(result, samples, seed, mode):
     fixed point.  So at most n + 45 bytes per state up to arity 8, about
     1.16 GB at n = 24; tracemalloc reads 64 at n = 20 with every node on
     the shift select, 44 with none.  Each extra worker adds one chunk's
-    analysis, at most 2.7 MB, and the pages it copies on write.
+    analysis, at most 2.7 MB, and the pages it copies on write.  The
+    statistics take 24 bytes per sample, in one mapping all processes
+    share.
     """
     _check_sampling(samples, seed)
     covered = {rec.name for rec in result.nodes}
@@ -370,6 +352,9 @@ def sample_ensemble(result, samples, seed, mode):
             f"inference covers only some nodes; missing {missing}",
             missing=missing,
         )
+    from array import array
+    from mmap import mmap
+
     from ._engine import _ensemble_chunk, _ensemble_plan
 
     n = _network_size(result.wiring)
@@ -386,28 +371,29 @@ def sample_ensemble(result, samples, seed, mode):
 
     chunk = max(1, ENSEMBLE_STATES >> n)
     starts = range(0, samples, chunk)
+    # per sample, its component count, trajectory size and largest
+    # component size, as three runs of ``samples`` slots seen by every worker
+    shared = memoryview(mmap(-1, 24 * samples)).cast("q")
 
     def run(part):
-        # three ints for each sample of the chunks starting at ``part``: its
-        # component count, trajectory size and largest component size
-        out = []
         for start in part:
+            stop = min(start + chunk, samples)
             rows = []
-            for j in range(start, min(start + chunk, samples)):
+            for j in range(start, stop):
                 rng = random.Random((seed << 32) + j)
                 rows.append([draw(rng) for draw in draws])
-            for triple in zip(*_ensemble_chunk(n, plan, rows, courses)):
-                out += triple
-        return out
+            for f, values in enumerate(_ensemble_chunk(n, plan, rows, courses)):
+                # a field of the wrong length raises here: it never writes short
+                shared[f * samples + start:f * samples + stop] = array("q", values)
 
     workers = _worker_count(n, len(starts))
-    parts = [
+    _forked(run, [
         starts[k * len(starts) // workers:(k + 1) * len(starts) // workers]
         for k in range(workers)
-    ]
-    lengths = [3 * (min(p[-1] + chunk, samples) - p[0]) for p in parts]
-    flat = [x for values in _forked(run, parts, lengths) for x in values]
-    comp_counts, traj_sizes, largest = flat[0::3], flat[1::3], flat[2::3]
+    ])
+    flat = shared.tolist()
+    comp_counts, traj_sizes = flat[:samples], flat[samples:-samples]
+    largest = flat[-samples:]
 
     not_largest = [size for size, big in zip(traj_sizes, largest) if size < big]
     width = max(1, (1 << n) // HISTOGRAM_BINS)

@@ -103,12 +103,13 @@ def _fitting_forms(value, seen, free, varmasks, undecided):
             o = order + (v + 1,)
             on = undecided & varmasks[v]
             if not rest:
-                # a lone variable is the last one
-                if v > prev:
-                    for b, bits in ((0, table | on), (1, table | undecided ^ on)):
-                        if bits & seen == value:
-                            table_found(bits)
-                            form_found((o, inputs + (0,), outputs + (b,)))
+                # a lone variable is the only one, placed by the top call
+                # (prev is -1): every other call places its last two
+                # variables together, so no index rule applies here
+                for b, bits in ((0, table | on), (1, table | undecided ^ on)):
+                    if bits & seen == value:
+                        table_found(bits)
+                        form_found((o, inputs + (0,), outputs + (b,)))
                 continue
             if len(rest) == 1:
                 w = rest[0]

@@ -232,7 +232,7 @@ MUTANTS = (
         'not hasattr(os, "fork") or ', "",
         (f"{DYN}::test_no_fork_without_os_fork",),
     ),
-    # _forked: kill, reap, status, length and rerun
+    # _forked: kill, reap, status and rerun; the shared write: length
     Mutant(
         "forked-kill", "dynamics.py",
         "                os.kill(pid, SIGKILL)\n", "",
@@ -245,18 +245,18 @@ MUTANTS = (
     ),
     Mutant(
         "forked-status", "dynamics.py",
-        "if status == 0 and len(data)", "if len(data)",
+        "os.waitpid(children[k], 0)[1]", "os.waitpid(children[k], 0)[1] < 0",
         (f"{DYN}::test_a_failed_child_leaves_the_stats_unchanged",),
     ),
     Mutant(
         "forked-length", "dynamics.py",
-        "and len(data) == 8 * lengths[k]:", ":",
+        "shared[f * samples + start:f * samples + stop] =",
+        "shared[f * samples + start:f * samples + start + len(values)] =",
         (f"{DYN}::test_a_failed_child_leaves_the_stats_unchanged",),
     ),
     Mutant(
         "forked-rerun", "dynamics.py",
-        "results.append(run(parts[k]) if values is None else values)",
-        "results.append(values or [])",
+        "            if failed:\n                run(parts[k])\n", "",
         (f"{DYN}::test_a_failed_child_leaves_the_stats_unchanged",),
     ),
 )
@@ -275,13 +275,6 @@ EQUIVALENT = (
         "return pairs[-1][1] if pairs else None",
         (f"{NCF}::test_witness_is_first_form_of_full_scan",),
         "a peel against the whole table finds at most one function",
-    ),
-    Mutant(
-        "peel-lone-last", "ncf.py",
-        "if v > prev:", "if True:",
-        (f"{NCF}::test_census_counts_against_form_oracle",),
-        "a lone variable is placed only by a call on one free variable, "
-        "which is the top call, where prev is -1",
     ),
     Mutant(
         "ncf-draw-range", "dynamics.py",

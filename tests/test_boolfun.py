@@ -194,7 +194,7 @@ def test_anf_text_matches_the_oracle_on_k5_tables(bits):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.integers(0, (1 << 64) - 1))
 def test_anf_text_above_the_soft_cap_matches_the_oracle(bits):
-    # allow_big arities render through the digit picker
+    # allow_big arities render by a join over the monomials in print order
     assert _rendered(bits, 6) == oracles.anf_text(_values(bits, 6), 6)
 
 

@@ -593,12 +593,15 @@ def test_sample_loads_no_process_pool():
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
-    # the package's records are NamedTuples, so start-up imports neither
+    # the package's records are NamedTuples, so start-up imports neither;
+    # sample_ensemble imports its shared mapping's modules when it runs
     _run_fresh_python(
         "import sys\n"
         "import ncfinfer.cli\n"
         "assert 'dataclasses' not in sys.modules\n"
         "assert 'inspect' not in sys.modules\n"
+        "assert 'mmap' not in sys.modules\n"
+        "assert 'array' not in sys.modules\n"
     )
 
 

@@ -790,9 +790,11 @@ def test_an_error_here_kills_the_children(monkeypatch):
     # child is killed and reaped
     result = _split_courses(monkeypatch, {1: "both"})
     parent, real = os.getpid(), _engine._ensemble_chunk
+    slept = []
 
     def chunk(*args):
-        if os.getpid() != parent:
+        if os.getpid() != parent and not slept:  # before the child's first chunk
+            slept.append(True)
             time.sleep(60)
         return real(*args)
 
@@ -806,8 +808,9 @@ def test_an_error_here_kills_the_children(monkeypatch):
 @pytest.mark.parametrize("fault", ["die", "exit", "short"])
 def test_a_failed_child_leaves_the_stats_unchanged(yeast_result, fault):
     # the child dies with status 3 in its first chunk, exits with status 3
-    # after sending all its data, or exits cleanly after sending each chunk
-    # one sample short; this process then runs the child's part itself
+    # after writing every field of its samples one too large, or returns
+    # each chunk one sample short, which raises at the write and exits 1;
+    # this process then runs the child's part itself
     parent, real_chunk, real_exit = os.getpid(), _engine._ensemble_chunk, os._exit
     here = []
 
@@ -817,6 +820,8 @@ def test_a_failed_child_leaves_the_stats_unchanged(yeast_result, fault):
             here.append(len(args[2]))
         elif fault == "die":
             real_exit(3)
+        elif fault == "exit":
+            out = [[x + 1 for x in field] for field in out]
         elif fault == "short":
             out = [field[:-1] for field in out]
         return out
