@@ -176,33 +176,19 @@ class CoeffVector(_PackedVector):
 
 
 @lru_cache(maxsize=None)
-def _lane_masks(arity):
-    # _lane_masks(k)[i] has bit m set iff index-bit i of m is clear.
-    masks = []
-    for i in range(arity):
-        m = 0
-        for idx in range(1 << arity):
-            if not (idx >> i) & 1:
-                m |= 1 << idx
-        masks.append(m)
-    return tuple(masks)
-
-
-@lru_cache(maxsize=None)
 def variable_masks(arity):
-    """variable_masks(k)[j] has bit m set iff point m has x_{j+1} = 1."""
+    """variable_masks(k)[j] has bit m set iff point m has x_{j+1} = 1: 2^j
+    points with x_{j+1} = 0, then 2^j with x_{j+1} = 1, repeated."""
     full = (1 << (1 << arity)) - 1
-    return tuple(full ^ lane for lane in _lane_masks(arity))
+    return tuple(full // ((1 << (1 << j)) + 1) << (1 << j) for j in range(arity))
 
 
 def xor_transform(bits, arity):
     """Subset-XOR transform on a packed 2**arity-bit vector: c[m] is the
     XOR of t over all submasks of m.  It is its own inverse, so it maps a
     table to its ANF and an ANF to its table."""
-    full = (1 << (1 << arity)) - 1
-    for i, lane in enumerate(_lane_masks(arity)):
-        bits ^= (bits & lane) << (1 << i)
-        bits &= full
+    for i, upper in enumerate(variable_masks(arity)):
+        bits ^= (bits << (1 << i)) & upper
     return bits
 
 
@@ -237,9 +223,9 @@ def essential_vars(table):
     changes the value at some point."""
     bits = table.to_int()
     out = []
-    for i, lane in enumerate(_lane_masks(table.arity)):
-        shifted = (bits >> (1 << i)) & lane
-        if (bits & lane) != shifted:
+    for i, upper in enumerate(variable_masks(table.arity)):
+        s = 1 << i
+        if (bits & upper) >> s != bits & (upper >> s):
             out.append(i + 1)
     return frozenset(out)
 

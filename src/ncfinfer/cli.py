@@ -35,7 +35,7 @@ from .ncf import _census_size, enumerate_ncfs
 
 def _read_input(path):
     data = Path(path).read_bytes()
-    return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+    return data.decode("utf-8-sig"), hashlib.sha256(data).hexdigest()
 
 
 class _RawJSON:

@@ -142,7 +142,6 @@ def local_data(wiring, timecourses, node):
     regs = wiring.regulators[node]
     name = wiring.nodes[node]
     seen = {}
-    pairs = []
     for ci, course in enumerate(courses):
         colmap = _column_map(wiring, course)
         reg_cols = [colmap[r] for r in regs]
@@ -164,8 +163,7 @@ def local_data(wiring, timecourses, node):
                     )
             else:
                 seen[inp] = (out, ci, t)
-                pairs.append((inp, out))
-    return LocalData(len(regs), pairs)
+    return LocalData(len(regs), [(inp, out) for inp, (out, _, _) in seen.items()])
 
 
 def infer_ncfs(wiring, timecourses, node):

@@ -18,6 +18,7 @@ from .boolfun import (
     _anf_text,
     _check_arity,
     _check_bits,
+    index_to_subset,
     tt_to_anf,
     variable_masks,
 )
@@ -178,26 +179,14 @@ def _criterion_constraints(order):
     """``(S, completion mask, near-full masks)`` for each nonempty proper
     subset mask S: a near-full mask is the full set minus one variable of
     the completion missing from S.  See :func:`is_ncf_wrt`."""
-    k = len(order)
-    full = (1 << k) - 1
-    layer_of = {var: i for i, var in enumerate(order)}
-    prefix = []
-    acc = 0
-    for var in order:
-        acc |= 1 << (var - 1)
-        prefix.append(acc)
+    full = (1 << len(order)) - 1
     out = []
     for s_mask in range(1, full):
-        r = max(
-            layer_of[i + 1] for i in range(k) if (s_mask >> i) & 1
-        )
-        comp = prefix[r]
-        factors = tuple(
-            full ^ (1 << (var - 1))
-            for var in order[: r + 1]
-            if not (s_mask >> (var - 1)) & 1
-        )
-        out.append((s_mask, comp, factors))
+        subset = index_to_subset(s_mask)
+        comp = completion(subset, order)
+        missing = comp - subset
+        factors = tuple(full ^ (1 << (v - 1)) for v in order if v in missing)
+        out.append((s_mask, sum(1 << (v - 1) for v in comp), factors))
     return tuple(out)
 
 

@@ -216,6 +216,28 @@ MUTANTS = (
         " ^ (arity == 4 and point == 5))",
         (f"{BOOL}::test_anf_text_matches_the_oracle_on_every_small_table",),
     ),
+    # the variable masks, the transform and essential_vars
+    Mutant(
+        "mask-shift", "boolfun.py",
+        "<< (1 << j) for j in range(arity))", "<< j for j in range(arity))",
+        (f"{BOOL}::test_transform_involution_random_k5",),
+    ),
+    Mutant(
+        "transform-mask", "boolfun.py",
+        "bits ^= (bits << (1 << i)) & upper", "bits ^= bits << (1 << i)",
+        (f"{BOOL}::test_anf_matches_direct_subset_sum",),
+    ),
+    Mutant(
+        "essential-lane", "boolfun.py",
+        "bits & (upper >> s)", "bits & (upper >> i)",
+        (f"{BOOL}::test_essential_vars_empty_iff_constant",),
+    ),
+    # the coefficient criterion's constraints
+    Mutant(
+        "criterion-factors", "ncf.py",
+        "missing = comp - subset", "missing = comp",
+        (f"{NCF}::test_criterion_equals_cascade_definition_exhaustive",),
+    ),
     # the worker count's fork rules
     Mutant(
         "fork-while-threaded", "dynamics.py",
@@ -282,6 +304,14 @@ EQUIVALENT = (
         'methodcaller("randrange", 0, len(ints), 1)',
         (f"{DYN}::test_node_samplers_match_the_object_draw",),
         "randrange with a start of 0 and a step of 1 takes the same bits",
+    ),
+    Mutant(
+        "transform-mask-bit0", "boolfun.py",
+        "bits ^= (bits << (1 << i)) & upper",
+        "bits ^= (bits << (1 << i)) & (upper | 1)",
+        (f"{BOOL}::test_anf_matches_direct_subset_sum",
+         f"{BOOL}::test_transform_involution_random_k5"),
+        "bit 0 of a left-shifted int is always clear",
     ),
     Mutant(
         "separator-default", "_engine.py",

@@ -17,6 +17,7 @@ from ncfinfer.boolfun import (
     parse_anf,
     point_to_index,
     tt_to_anf,
+    variable_masks,
 )
 from ncfinfer.errors import CapacityError
 
@@ -58,6 +59,22 @@ def test_anf_matches_direct_subset_sum():
             assert tt_to_anf(t).coeffs == oracles.anf_coeffs(t.values, k)
 
 
+def test_variable_masks_match_their_definition():
+    for k in range(17):
+        assert variable_masks(k) == tuple(
+            sum(1 << m for m in range(1 << k) if (m >> j) & 1) for j in range(k)
+        )
+
+
+def test_transform_matches_the_oracle_above_the_soft_cap():
+    rng = random.Random(20261020)
+    for k in range(6, 13):
+        t = TruthTable.from_int(k, rng.getrandbits(1 << k), allow_big=True)
+        c = tt_to_anf(t)
+        assert c.coeffs == oracles.anf_coeffs(t.values, k)
+        assert anf_to_tt(c) == t
+
+
 def test_evaluate():
     assert evaluate(AND2, (1, 1)) == 1
     assert evaluate(AND2, (0, 1)) == 0
@@ -91,6 +108,24 @@ def test_essential_vars_empty_iff_constant():
             t = TruthTable.from_int(k, bits)
             is_const = bits in (0, (1 << (1 << k)) - 1)
             assert (essential_vars(t) == frozenset()) == is_const
+
+
+def test_essential_vars_are_the_variables_whose_flip_matters():
+    rng = random.Random(8)
+    for k in range(9):
+        for _ in range(20):
+            ignored = rng.getrandbits(k)
+            values = [rng.getrandbits(1) for _ in range(1 << k)]
+            # the value at m is read at m with the ignored variables cleared
+            t = TruthTable(k, [values[m & ~ignored] for m in range(1 << k)],
+                           allow_big=True)
+            flips = {
+                i + 1
+                for i in range(k)
+                if any(t.values[m] != t.values[m ^ (1 << i)] for m in range(1 << k))
+            }
+            assert essential_vars(t) == flips
+            assert not any(ignored >> (i - 1) & 1 for i in flips)
 
 
 def test_point_index_round_trip():

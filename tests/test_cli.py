@@ -153,6 +153,29 @@ def test_run_infer_single_node(yeast_files, capsys):
     assert "Swi5" in out and "Cdh1" not in out
 
 
+def test_run_infer_reads_files_led_by_a_utf8_bom(yeast_files, tmp_path, capsys):
+    # spreadsheet tools save CSV led by a byte order mark; the digests stay
+    # over the raw bytes, so only they differ
+    wiring, course = yeast_files
+    bom_wiring, bom_course = tmp_path / "bom.json", tmp_path / "bom.csv"
+    bom_wiring.write_bytes(b"\xef\xbb\xbf" + Path(wiring).read_bytes())
+    bom_course.write_bytes(b"\xef\xbb\xbf" + Path(course).read_bytes())
+    reports = []
+    for w, c, out in ((wiring, course, "plain"), (bom_wiring, bom_course, "bom")):
+        assert run(["infer", "--wiring", str(w), "--timecourse", str(c),
+                    "--out", str(tmp_path / out)]) == 0
+        payload = json.loads((tmp_path / out / "infer.json").read_text())
+        digests = payload.pop("inputs")
+        reports.append((capsys.readouterr().out, payload, digests))
+    (plain_out, plain, plain_digests), (bom_out, bom, bom_digests) = reports
+    assert bom_out == plain_out and bom == plain
+    assert bom_digests == {
+        "wiring_sha256": hashlib.sha256(bom_wiring.read_bytes()).hexdigest(),
+        "timecourse_sha256": [hashlib.sha256(bom_course.read_bytes()).hexdigest()],
+    }
+    assert bom_digests != plain_digests
+
+
 def test_run_enumerate(tmp_path, capsys):
     out = tmp_path / "o"
     assert run(["enumerate-ncfs", "3", "--out", str(out)]) == 0
