@@ -143,15 +143,39 @@ def _ensemble_plan(n, regulators, nodes, budget, samples):
     return base, cached, shifted
 
 
-def _ensemble_successors(n, plan, rows):
-    """The successor maps of S sampled networks side by side, as one array:
-    ``rows[s][i]`` is node i's candidate in network s, offset by s * 2^n."""
+class _Workspace(dict):
+    """Buffers of ``states`` entries each, by name, made at first use, that
+    consecutive ensemble chunks overwrite: no chunk after the first faults
+    in fresh pages for them.  A chunk writes every entry it reads."""
+
+    def __init__(self, states):
+        super().__init__()
+        self.states = states
+
+
+def _buffer(space, name, dtype, size):
+    """``size`` entries of workspace ``space``'s buffer ``name``, or fresh
+    ones, freed once the chunk drops them, when ``space`` is None."""
+    if space is None:
+        return np.empty(size, dtype=dtype)
+    if name not in space:
+        space[name] = np.empty(space.states, dtype=dtype)
+    return space[name][:size]
+
+
+def _ensemble_successors(n, plan, rows, space=None):
+    """The successor maps of S sampled networks side by side, as one array
+    in ``space`` (a ``_Workspace`` or None): ``rows[s][i]`` is node i's
+    candidate in network s, offset by s * 2^n."""
     base, cached, shifted = plan
-    succ = np.tile(base, (len(rows), 1))
+    succ = _buffer(space, "succ", np.uint32, len(rows) << n)
+    succ = succ.reshape(len(rows), -1)
+    succ[:] = base
     for i, matrix in cached:
         # np.take into an ``out`` array buffers the copy, at 2.5 times the cost
         succ |= np.take(matrix, [row[i] for row in rows], axis=0)
-    bits = np.empty_like(succ) if shifted else None
+    if shifted:
+        bits = _buffer(space, "bits", np.uint32, succ.size).reshape(succ.shape)
     for i, k, table, idx in shifted:
         words = _table_words(k, [table(row[i]) for row in rows])
         succ |= _shift_select(words, idx, np.uint32(1 << i), bits)
@@ -235,27 +259,33 @@ def _component_sizes(space):
     return np.bincount(space.component_of, minlength=space.component_count)
 
 
-def _ensemble_chunk(n, plan, rows, courses):
+def _ensemble_chunk(n, plan, rows, courses, space=None):
     """Per network of ``rows`` (as ``_ensemble_successors`` takes them),
     its component count, the size of the component holding the first of
     ``courses`` (lists of state ints), and the size of its largest one.
+    The state-sized arrays before the component analysis are views into
+    ``space``, a ``_Workspace``, or fresh ones when it is None.
 
     Raises ``InvariantViolation`` at the first network where a course
     spans components.
     """
     samples = len(rows)
-    succ = _ensemble_successors(n, plan, rows)
+    succ = _ensemble_successors(n, plan, rows, space)
     # The chunk is analyzed on the image of f, closed under f and holding
     # every cycle; a state's component is its successor's.  Positions in
     # the sorted image keep the component numbering.  numpy counts an intp
     # array 2-3 times as fast as a uint32 one.
-    indeg = np.bincount(succ.astype(np.intp), minlength=len(succ))
+    wide = _buffer(space, "wide", np.intp, len(succ))
+    wide[:] = succ
+    indeg = np.bincount(wide, minlength=len(succ))
+    del wide
     image = np.flatnonzero(indeg != 0).astype(np.uint32)
     weight = _gather(indeg, image).astype(np.uint32)
     del indeg
     # each image state's position: a scatter and a gather, where a binary
-    # search costs 8 times as much on a yeast chunk
-    position = np.empty(len(succ), dtype=np.uint32)
+    # search costs 8 times as much on a yeast chunk.  Only image states
+    # are written, and only they are read.
+    position = _buffer(space, "position", np.uint32, len(succ))
     _scatter(position, image, np.arange(len(image), dtype=np.uint32))
     offsets = np.arange(samples, dtype=np.uint32)[:, None] << np.uint32(n)
     course_at = [

@@ -10,7 +10,6 @@ import os
 import random
 import threading
 from functools import cached_property
-from operator import methodcaller
 from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .boolfun import _check_bits, evaluate, point_to_index
@@ -223,18 +222,33 @@ class EnsembleStats(NamedTuple):
         }
 
 
+def _below(count):
+    """A draw of ``rng.randrange(count)`` from the same bits, the rule it
+    follows: k-bit words, k the bit length of ``count``, until one is below
+    ``count``.  It skips ``randrange``'s argument checks, half its cost."""
+    k = count.bit_length()
+
+    def draw(rng):
+        row = rng.getrandbits(k)
+        while row >= count:
+            row = rng.getrandbits(k)
+        return row
+
+    return draw
+
+
 def _node_sampler(rec, mode):
     """Node ``rec``'s draws on table ints, as ``(count, draw, table)``.
 
     ``draw(rng)`` picks one of ``count`` candidates, consuming random bits
     exactly as drawing the function object would, and ``table(row)`` is
     the table int of candidate ``row``.  In ncf mode the draw is
-    ``rng.randrange(count)``.
+    ``rng.randrange(count)``'s.
     """
     if mode == "ncf":
         ints = rec.ncfs.to_ints()
         if ints:
-            return len(ints), methodcaller("randrange", len(ints)), ints.__getitem__
+            return len(ints), _below(len(ints)), ints.__getitem__
         forced = rec.forced
         if forced is not None:
             return 1, _draw_nothing, (forced.to_int(),).__getitem__
@@ -339,8 +353,11 @@ def sample_ensemble(result, samples, seed, mode):
     8) and at most 41 bytes of chunk analysis, when every state is a
     fixed point.  So at most n + 45 bytes per state up to arity 8, about
     1.16 GB at n = 24; tracemalloc reads 64 at n = 20 with every node on
-    the shift select, 44 with none.  Each extra worker adds one chunk's
-    analysis, at most 2.7 MB, and the pages it copies on write.  The
+    the shift select, 44 with none.  Up to 16 nodes each process keeps
+    its chunks' successor maps, shift-select bits, intp copies and
+    positions in one workspace, 20 bytes per chunk state, so a chunk's
+    analysis peaks at 61 bytes per state under tracemalloc, 4.0 MB: each
+    extra worker adds that and the pages it copies on write.  The
     statistics take 24 bytes per sample, in one mapping all processes
     share.
     """
@@ -355,7 +372,7 @@ def sample_ensemble(result, samples, seed, mode):
     from array import array
     from mmap import mmap
 
-    from ._engine import _ensemble_chunk, _ensemble_plan
+    from ._engine import _ensemble_chunk, _ensemble_plan, _Workspace
 
     n = _network_size(result.wiring)
     courses = [_state_ints(n, t) for t in result.trajectories()]
@@ -371,18 +388,24 @@ def sample_ensemble(result, samples, seed, mode):
 
     chunk = max(1, ENSEMBLE_STATES >> n)
     starts = range(0, samples, chunk)
+    states = min(samples, chunk) << n
     # per sample, its component count, trajectory size and largest
     # component size, as three runs of ``samples`` slots seen by every worker
     shared = memoryview(mmap(-1, 24 * samples)).cast("q")
 
     def run(part):
+        # One workspace for the part's chunks, made in the process that
+        # runs them.  A chunk of one network past ENSEMBLE_STATES takes
+        # fresh arrays instead, freed before its component analysis.
+        space = _Workspace(states) if states <= ENSEMBLE_STATES else None
         for start in part:
             stop = min(start + chunk, samples)
             rows = []
             for j in range(start, stop):
                 rng = random.Random((seed << 32) + j)
                 rows.append([draw(rng) for draw in draws])
-            for f, values in enumerate(_ensemble_chunk(n, plan, rows, courses)):
+            out = _ensemble_chunk(n, plan, rows, courses, space)
+            for f, values in enumerate(out):
                 # a field of the wrong length raises here: it never writes short
                 shared[f * samples + start:f * samples + stop] = array("q", values)
 

@@ -113,8 +113,7 @@ MUTANTS = (
     # the ncf-mode draw
     Mutant(
         "ncf-draw-count", "dynamics.py",
-        'methodcaller("randrange", len(ints))',
-        'methodcaller("randrange", len(ints) | 1)',
+        "_below(len(ints))", "_below(len(ints) | 1)",
         (f"{DYN}::test_node_samplers_match_the_object_draw",),
     ),
     # every _check_bits call
@@ -254,6 +253,19 @@ MUTANTS = (
         'not hasattr(os, "fork") or ', "",
         (f"{DYN}::test_no_fork_without_os_fork",),
     ),
+    # the chunk workspace: a reset per chunk, a view per chunk size
+    Mutant(
+        "workspace-reset", "_engine.py",
+        "succ[:] = base", "succ |= base",
+        (f"{DYN}::test_one_workspace_over_a_chunk_sequence_matches_fresh_ones",
+         f"{DYN}::test_one_workspace_over_small_and_large_images"),
+    ),
+    Mutant(
+        "workspace-short-view", "_engine.py",
+        "return space[name][:size]", "return space[name]",
+        (f"{DYN}::test_one_workspace_over_a_chunk_sequence_matches_fresh_ones",
+         f"{DYN}::test_one_workspace_over_small_and_large_images"),
+    ),
     # _forked: kill, reap, status and rerun; the shared write: length
     Mutant(
         "forked-kill", "dynamics.py",
@@ -300,10 +312,13 @@ EQUIVALENT = (
     ),
     Mutant(
         "ncf-draw-range", "dynamics.py",
-        'methodcaller("randrange", len(ints))',
-        'methodcaller("randrange", 0, len(ints), 1)',
+        "        row = rng.getrandbits(k)\n"
+        "        while row >= count:\n"
+        "            row = rng.getrandbits(k)\n"
+        "        return row\n",
+        "        return rng.randrange(count)\n",
         (f"{DYN}::test_node_samplers_match_the_object_draw",),
-        "randrange with a start of 0 and a step of 1 takes the same bits",
+        "randrange takes the same bits: k-bit words until one is below count",
     ),
     Mutant(
         "transform-mask-bit0", "boolfun.py",

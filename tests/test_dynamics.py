@@ -657,6 +657,112 @@ def test_ensemble_chunks_of_permutations_and_constants_match_the_oracle(
             assert largest[j] == max(oracle_sizes)
 
 
+def _chunk_in_three_workspaces(n, plan, rows, courses, space):
+    """``_ensemble_chunk``'s result in ``space``, checked against a fresh
+    workspace of the same size and against fresh arrays."""
+    out = _engine._ensemble_chunk(n, plan, rows, courses, space)
+    fresh = _engine._Workspace(space.states)
+    assert out == _engine._ensemble_chunk(n, plan, rows, courses, fresh)
+    assert out == _engine._ensemble_chunk(n, plan, rows, courses)
+    return out
+
+
+def _phase_space_stats(wiring, tables, reference):
+    space = phase_space(BooleanNetwork(wiring, tables))
+    size = trajectory_component_size(space, reference)
+    return space.component_count, size, max(space.component_sizes)
+
+
+@pytest.mark.parametrize("mode", ["ncf", "unrestricted"])
+@pytest.mark.parametrize("budget", ["default", "none"])
+def test_one_workspace_over_a_chunk_sequence_matches_fresh_ones(
+    yeast_result, mode, budget
+):
+    # 19 samples in chunks of 8, 8 and 3, drawn as sample_ensemble draws
+    # them, analyzed one after another in one workspace.  With the default
+    # cache both modes have cached and shifted nodes; with none every node
+    # with several candidates is on the shift select
+    result, n, samples, chunk = yeast_result, 11, 19, 8
+    cache = dynamics_module.ENSEMBLE_CACHE_BYTES if budget == "default" else 0
+    samplers = [dynamics_module._node_sampler(rec, mode) for rec in result.nodes]
+    plan = _engine._ensemble_plan(
+        n,
+        result.wiring.regulators,
+        [(count, table) for count, _, table in samplers],
+        cache,
+        samples,
+    )
+    _, cached, shifted = plan
+    assert shifted and bool(cached) == (budget == "default")
+    courses = [list(course) for course in result.trajectories()]
+    space = _engine._Workspace(chunk << n)
+    outputs = []
+    for start in range(0, samples, chunk):
+        rows = []
+        for j in range(start, min(start + chunk, samples)):
+            rng = random.Random((7 << 32) + j)
+            rows.append([draw(rng) for _, draw, _ in samplers])
+        out = _chunk_in_three_workspaces(n, plan, rows, courses, space)
+        outputs.append(out)
+        tables = [
+            [TruthTable.from_int(len(regs), t(r), allow_big=True)
+             for regs, (_, _, t), r in zip(result.wiring.regulators, samplers, row)]
+            for row in rows
+        ]
+        assert list(zip(*out)) == [
+            _phase_space_stats(result.wiring, net, courses[0]) for net in tables
+        ]
+    assert [len(out[0]) for out in outputs] == [8, 8, 3]
+    # sample_ensemble runs the same chunks, in one workspace per process:
+    # one process, or two, the second taking the last full and the short chunk
+    merged = [sum((out[f] for out in outputs), []) for f in range(3)]
+    with mock.patch.object(dynamics_module, "ENSEMBLE_STATES", chunk << n), \
+            mock.patch.object(dynamics_module, "ENSEMBLE_CACHE_BYTES", cache):
+        for workers in (1, 2):
+            forks, counting = _counting_forks()
+            with _cpus(workers), counting:
+                stats = sample_ensemble(result, samples, 7, mode)
+            assert len(forks) == workers - 1
+            assert [list(stats.component_counts), list(stats.trajectory_sizes)] \
+                == merged[:2]
+
+
+@pytest.mark.parametrize("cache", [1 << 62, 0])
+def test_one_workspace_over_small_and_large_images(cache):
+    # chunks of two ring networks: constants (an image of one state each),
+    # permutations (every state in the image), constants again, then a
+    # short chunk of one; every column cached, or every node shifted
+    n = 5
+    wiring = WiringDiagram(
+        [f"n{i}" for i in range(n)], [[i, (i + 1) % n] for i in range(n)]
+    )
+    self_, not_self, nxt, zero, one, *rest = _ring_networks(n, random.Random(n))
+    order = [zero, one, self_, not_self, zero, nxt, one, *rest[:3], zero]
+    networks = [order[k:k + 2] for k in range(0, len(order), 2)]
+    candidates = [sorted({t.to_int() for net in order for t in [net[i]]})
+                  for i in range(n)]
+    plan = _engine._ensemble_plan(
+        n, wiring.regulators, [(len(c), c.__getitem__) for c in candidates],
+        cache, len(order),
+    )
+    assert bool(plan[1]) == bool(cache) and bool(plan[2]) != bool(cache)
+    state = [1] + [0] * (n - 1)
+    courses = [[point_to_index(state)]]
+    space = _engine._Workspace(2 << n)
+    images = []
+    for chunk in networks:
+        rows = [[c.index(t.to_int()) for c, t in zip(candidates, net)]
+                for net in chunk]
+        succ = _engine._ensemble_successors(n, plan, rows)
+        images.append(len(np.unique(succ)))
+        out = _chunk_in_three_workspaces(n, plan, rows, courses, space)
+        assert list(zip(*out)) == [
+            _phase_space_stats(wiring, net, courses[0]) for net in chunk
+        ]
+    assert images[:3] == [2, 2 << n, 1 + (1 << n)]
+    assert [len(chunk) for chunk in networks] == [2, 2, 2, 2, 2, 1]
+
+
 def test_ensemble_chunks_analyze_only_the_image(yeast_result):
     # each chunk's graph handed to _components must be the image of its
     # successor map, never the whole chunk
