@@ -266,6 +266,12 @@ MUTANTS = (
         (f"{DYN}::test_one_workspace_over_a_chunk_sequence_matches_fresh_ones",
          f"{DYN}::test_one_workspace_over_small_and_large_images"),
     ),
+    Mutant(
+        "workspace-kept", "dynamics.py",
+        "space = _Workspace(states)",
+        "space = sample_ensemble.__dict__.setdefault(states, _Workspace(states))",
+        (f"{DYN}::test_sample_ensemble_keeps_no_workspace",),
+    ),
     # _forked: kill, reap, status and rerun; the shared write: length
     Mutant(
         "forked-kill", "dynamics.py",

@@ -763,6 +763,21 @@ def test_one_workspace_over_small_and_large_images(cache):
     assert [len(chunk) for chunk in networks] == [2, 2, 2, 2, 2, 1]
 
 
+def test_sample_ensemble_keeps_no_workspace(yeast_result):
+    # the workspace lives for one part: once sample_ensemble returns, none
+    # of its 2^16-state buffers (the smallest is 256 KB) is still held
+    with _cpus(1):
+        sample_ensemble(yeast_result, 100, 4, "unrestricted")  # imports
+        tracemalloc.start()
+        try:
+            sample_ensemble(yeast_result, 100, 4, "unrestricted")
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak >= 20 << 16  # the workspace was there
+    assert held < 64 << 10
+
+
 def test_ensemble_chunks_analyze_only_the_image(yeast_result):
     # each chunk's graph handed to _components must be the image of its
     # successor map, never the whole chunk
