@@ -14,10 +14,8 @@ from .dynamics import (
     BooleanNetwork,
     EnsembleStats,
     PhaseSpace,
-    attractors,
     phase_space,
     sample_ensemble,
-    step,
     trajectory_component_size,
 )
 from .errors import (

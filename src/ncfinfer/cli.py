@@ -6,6 +6,7 @@ the README's ``Command line`` section.
 
 import argparse
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -78,8 +79,15 @@ def _json_report(obj):
 def _write_outputs(out_dir, outputs):
     # all or nothing: every file is staged in a temporary directory beside
     # its final place and moved in once all are written; a report given as
-    # chunks is written chunk by chunk, never joined
+    # chunks is written chunk by chunk, never joined.  No file may replace
+    # a directory, so every target is checked before the first move.
     out = Path(out_dir)
+    for name in outputs:
+        target = out / name
+        if target.is_dir() and not target.is_symlink():
+            raise IsADirectoryError(
+                errno.EISDIR, os.strerror(errno.EISDIR), str(target)
+            )
     out.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=".partial-", dir=out) as staging:
         for name, content in outputs.items():

@@ -12,9 +12,9 @@ import threading
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, NamedTuple
 
-from .boolfun import _check_bits, evaluate, point_to_index
+from .boolfun import _check_bits, point_to_index
 from .errors import CapacityError, ConfigurationError, InvariantViolation
-from .modelspace import ModelSpace, _draw_nothing
+from .modelspace import ModelSpace
 
 if TYPE_CHECKING:
     from numpy import ndarray
@@ -35,9 +35,7 @@ __all__ = [
     "BooleanNetwork",
     "PhaseSpace",
     "EnsembleStats",
-    "step",
     "phase_space",
-    "attractors",
     "trajectory_component_size",
     "sample_ensemble",
 ]
@@ -65,20 +63,6 @@ class BooleanNetwork:
     @property
     def size(self):
         return len(self.wiring.nodes)
-
-
-def step(network, state):
-    """Successor of one global state (bit vector in wiring node order)."""
-    state = tuple(state)
-    if len(state) != network.size:
-        raise ValueError(
-            f"state has length {len(state)}, expected {network.size}"
-        )
-    _check_bits(state, "state")
-    return tuple(
-        evaluate(table, [state[r] for r in regs])
-        for table, regs in zip(network.tables, network.wiring.regulators)
-    )
 
 
 class PhaseSpace(
@@ -157,11 +141,6 @@ def _analyze(succ, n):
     from ._engine import _components
 
     return PhaseSpace(n, succ, *_components(succ, n))
-
-
-def attractors(space):
-    """The attractor cycles, one per component (fixed points have length 1)."""
-    return list(space.attractors)
 
 
 def _as_state_int(n, state):
@@ -243,23 +222,22 @@ def _node_sampler(rec, mode):
     ``draw(rng)`` picks one of ``count`` candidates, consuming random bits
     exactly as drawing the function object would, and ``table(row)`` is
     the table int of candidate ``row``.  In ncf mode the draw is
-    ``rng.randrange(count)``'s.
+    ``rng.randrange(count)``'s.  In unrestricted mode, and for a forced
+    node without a fitting NCF, it is the model space's draw.
     """
     if mode == "ncf":
         ints = rec.ncfs.to_ints()
         if ints:
             return len(ints), _below(len(ints)), ints.__getitem__
-        forced = rec.forced
-        if forced is not None:
-            return 1, _draw_nothing, (forced.to_int(),).__getitem__
-        raise ConfigurationError(
-            f"node {rec.name!r} has no fitting nested canalyzing function "
-            "and its data does not force a unique function",
-            node=rec.name,
-        )
-    if mode == "unrestricted":
-        return ModelSpace.from_data(rec.data)._sampler()
-    raise ValueError(f"unknown sampling mode {mode!r}")
+        if rec.forced is None:
+            raise ConfigurationError(
+                f"node {rec.name!r} has no fitting nested canalyzing function "
+                "and its data does not force a unique function",
+                node=rec.name,
+            )
+    elif mode != "unrestricted":
+        raise ValueError(f"unknown sampling mode {mode!r}")
+    return ModelSpace.from_data(rec.data)._sampler()
 
 
 def _check_sampling(samples, seed):

@@ -23,6 +23,8 @@ def parse_wiring(text):
     nodes = doc["nodes"]
     if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
         raise ParseError('"nodes" must be a list of names', field="nodes")
+    if not nodes:
+        raise ParseError("wiring has no nodes", field="nodes")
     if len(set(nodes)) != len(nodes):
         dup = sorted(n for n in set(nodes) if nodes.count(n) > 1)
         raise ParseError(f"duplicate node names {dup}", field="nodes")

@@ -230,10 +230,6 @@ class InferenceResult(NamedTuple):
     courses: tuple
     nodes: tuple
 
-    @property
-    def model_count(self):
-        return count_models(self)
-
     def node(self, name):
         for rec in self.nodes:
             if rec.name == name:

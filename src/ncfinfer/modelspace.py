@@ -113,11 +113,6 @@ def model_space_size(data):
     return 1 << ((1 << data.arity) - data.distinct_inputs)
 
 
-def _draw_nothing(rng):
-    """The draw of a single candidate that consumes no random bits."""
-    return 0
-
-
 class ModelSpace(NamedTuple):
     """Materializable view of all functions fitting one node's data."""
 
@@ -153,22 +148,17 @@ class ModelSpace(NamedTuple):
 
     def sample(self, rng):
         """One fitting function uniformly at random (rng: random.Random),
-        from the bits ``_sampler()``'s draw takes, scattered directly: one
-        draw does not pay for the sampler's lookup tables."""
-        bits = self.data._value_bits
-        if self.unseen:
-            assign = rng.getrandbits(len(self.unseen))
-            for idx in self.unseen:
-                bits |= (assign & 1) << idx
-                assign >>= 1
-        return TruthTable.from_int(self.arity, bits, allow_big=True)
+        drawn as ``_sampler()`` draws it."""
+        _, draw, table = self._sampler()
+        return TruthTable.from_int(self.arity, table(draw(rng)), allow_big=True)
 
     def _sampler(self):
         """The fitting functions as table ints, ``(count, draw, table)``.
 
         ``table(assign)`` is the interpolant with bit j of ``assign`` at
         the j-th smallest unobserved index, and ``draw(rng)`` picks an
-        assignment uniformly.  The assignment is spread a byte at a time:
+        assignment uniformly, taking no random bits when there is one
+        candidate.  The assignment is spread a byte at a time:
         entry v of byte b's lookup table holds bit j of v at the (8b + j)-th
         unobserved index, shifted down to the byte's first one.
         """
@@ -189,5 +179,7 @@ class ModelSpace(NamedTuple):
                 assign >>= 8
             return bits
 
-        draw = (lambda rng: rng.getrandbits(free)) if free else _draw_nothing
+        def draw(rng):
+            return rng.getrandbits(free)
+
         return 1 << free, draw, table

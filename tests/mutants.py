@@ -128,11 +128,6 @@ MUTANTS = (
         (f"{BOOL}::test_construction_validation",),
     ),
     Mutant(
-        "bits-step-state", "dynamics.py",
-        '    _check_bits(state, "state")\n    return tuple(', "    return tuple(",
-        (f"{DYN}::test_states_reject_entries_other_than_bits",),
-    ),
-    Mutant(
         "bits-trajectory-state", "dynamics.py",
         '    _check_bits(state, "state")\n    return point_to_index(',
         "    return point_to_index(",
@@ -163,22 +158,34 @@ MUTANTS = (
         '        _check_bits(outputs, "canalyzed outputs")\n', "",
         (f"{NCF}::test_form_rejects_values_other_than_int_bits",),
     ),
-    # the unrestricted sampler's byte order
+    # the unrestricted sampler's byte order, and the one draw behind sample
     Mutant(
         "sampler-byte-order", "modelspace.py",
         "for shift, entries in spread:", "for shift, entries in spread[::-1]:",
         (f"{MODEL}::test_int_sampler_matches_sample",),
     ),
+    Mutant(
+        "sample-draw", "modelspace.py",
+        "table(draw(rng))", "table(draw(rng) >> 1)",
+        (f"{MODEL}::test_int_sampler_matches_sample",),
+    ),
+    # a node without a fitting NCF draws in ncf mode only when forced
+    Mutant(
+        "forced-unchecked", "dynamics.py",
+        "        if rec.forced is None:\n            raise ConfigurationError(",
+        "        if False:\n            raise ConfigurationError(",
+        (f"{DYN}::test_sample_ensemble_configuration_error",),
+    ),
     # the successor map's byte lanes
     Mutant(
         "lane-byte", "_engine.py",
         "octets[:, j] = lane", "octets[:, j ^ 1] = lane",
-        (f"{DYN}::test_successor_map_matches_step_across_byte_lanes",),
+        (f"{DYN}::test_successor_map_matches_the_oracle_across_byte_lanes",),
     ),
     Mutant(
         "lane-period", "_engine.py",
         "max(regs, default=0) + 1))", "max(regs, default=0)))",
-        (f"{DYN}::test_successor_map_matches_step_across_byte_lanes",),
+        (f"{DYN}::test_successor_map_matches_the_oracle_across_byte_lanes",),
     ),
     # doubling and pointer jumping
     Mutant(

@@ -145,6 +145,21 @@ def embed(sub_bits, k, positions):
     return out
 
 
+def successor(tables, regulators, state):
+    """The synchronous successor of the state int ``state`` (node i at
+    bit i): node i takes the bit of its table int ``tables[i]`` at the
+    point whose bit j is the value of its j-th regulator."""
+    nxt = 0
+    for i, (bits, regs) in enumerate(zip(tables, regulators)):
+        point = 0
+        for j, r in enumerate(regs):
+            if (state >> r) & 1:
+                point += 2 ** j
+        if (bits >> point) & 1:
+            nxt += 2 ** i
+    return nxt
+
+
 def functional_graph(succ):
     """Components, attractors and component sizes of the map m -> succ[m].
 

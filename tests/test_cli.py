@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import json
 import os
@@ -14,13 +15,14 @@ from hypothesis import strategies as st
 
 import ncfinfer
 import oracles
+import strategies
 from ncfinfer import _engine, cli, formats
 from ncfinfer import ncf as ncf_module
 from ncfinfer._engine import _attractor_bits, _decimal
 from ncfinfer.cli import run
 from ncfinfer.datasets import yeast_timecourse_path, yeast_wiring_path
 from ncfinfer.dynamics import _analyze
-from ncfinfer.errors import ParseError
+from ncfinfer.errors import ParseError, ToolError
 from ncfinfer.formats import (
     parse_rules,
     parse_timecourse,
@@ -193,13 +195,25 @@ def test_run_enumerate_rejects_a_negative_arity(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_catalog_report_matches_the_stdlib(k, tmp_path, capsys):
+    # every cascade's table once, ascending, with its first form in the
+    # oracle's generation order as witness; at k = 5 the golden digest of
+    # ncfs_k5.json is the check
     out = tmp_path / "o"
     assert run(["enumerate-ncfs", str(k), "--out", str(out)]) == 0
     capsys.readouterr()
-    ncfs = enumerate_ncfs(k)
-    payload = {"arity": k, "count": len(ncfs), "ncfs": ncfs.json_records()}
+    records = [
+        {
+            "anf": oracles.anf_text([(bits >> p) & 1 for p in range(1 << k)], k),
+            "table": bits,
+            "witness_form": dict(
+                zip(("order", "inputs", "outputs"), map(list, forms[0]))
+            ),
+        }
+        for bits, forms in sorted(oracles.cascade_forms_by_table(k).items())
+    ]
+    payload = {"arity": k, "count": len(records), "ncfs": records}
     assert (out / f"ncfs_k{k}.json").read_text() == (
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
@@ -426,6 +440,113 @@ def test_no_partial_outputs_on_failure(tmp_path, capsys):
     capsys.readouterr()
     assert code == 1
     assert not out.exists()
+
+
+def _outputs(command, mode):
+    """The files a successful ``command`` run writes into ``--out``."""
+    return {"infer": {"infer.json", "infer.txt"}, "check": set(),
+            "sample": {f"sample_{mode}.json", f"sample_{mode}.csv"},
+            "dynamics": {"dynamics.json"}}[command]
+
+
+def _argv(command, wiring, courses, rules, out, node=None, mode="ncf", samples=5):
+    argv = [command, "--wiring", str(wiring)]
+    if command == "dynamics":
+        argv += ["--rules", str(rules)]
+    for course in courses:
+        argv += ["--timecourse", str(course)]
+    if command == "sample":
+        argv += ["--mode", mode, "-m", str(samples), "--seed", "1"]
+    if node is not None and command in ("infer", "check"):
+        argv += ["--node", node]
+    if command != "check":
+        argv += ["--out", str(out)]
+    return argv
+
+
+def _error_type(stderr):
+    """The ``type`` of the one JSON error object ``stderr`` must hold."""
+    error = json.loads(stderr)["error"]  # extra data would raise here
+    return error["type"]
+
+
+FAILURE_TYPES = {cls.__name__ for cls in (ToolError, *ToolError.__subclasses__())}
+
+
+def _allowed_failure(name):
+    if name in FAILURE_TYPES:
+        return True
+    builtin = getattr(builtins, name, None)
+    return isinstance(builtin, type) and issubclass(
+        builtin, (ValueError, KeyError, OSError)
+    )
+
+
+@pytest.mark.parametrize("command", ["infer", "check", "sample", "dynamics"])
+def test_an_empty_wiring_is_a_parse_error(command, tmp_path, capsys):
+    wiring, course, rules = (tmp_path / f for f in ("w.json", "c.csv", "r.json"))
+    wiring.write_text('{"nodes": [], "regulators": {}}')
+    course.write_text("A\n0\n1\n")
+    rules.write_text('{"rules": {}}')
+    out = tmp_path / "out"
+    assert run(_argv(command, wiring, [course], rules, out)) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"type": "ParseError", "message": "wiring has no nodes",
+                     "field": "nodes"}
+    assert not out.exists()
+
+
+def test_a_directory_in_the_way_leaves_no_new_file(yeast_files, tmp_path, capsys):
+    # infer.json would move in first, then infer.txt could not replace the
+    # directory: every target is checked before either moves
+    wiring, course = yeast_files
+    out = tmp_path / "out"
+    (out / "infer.txt").mkdir(parents=True)
+    (out / "infer.txt" / "kept").write_text("x")
+    assert run(["infer", "--wiring", wiring, "--timecourse", course,
+                "--out", str(out)]) == 1
+    assert _error_type(capsys.readouterr().err) == "IsADirectoryError"
+    assert sorted(p.name for p in out.iterdir()) == ["infer.txt"]
+    assert [p.name for p in (out / "infer.txt").iterdir()] == ["kept"]
+    assert (out / "infer.txt" / "kept").read_text() == "x"
+
+
+@pytest.mark.parametrize("command", ["infer", "check", "sample", "dynamics"])
+def test_failure_contract_on_generated_inputs(command, tmp_path, capsys):
+    # every run exits 0 with all its files, or exits 1 with one JSON error
+    # of a documented type and nothing new in --out
+    rng = random.Random(f"contract-{command}")
+    yeast = yeast_wiring_path().read_bytes(), yeast_timecourse_path().read_bytes()
+    outcomes = {0: 0, 1: 0}
+    for i in range(300):
+        wiring, courses, rules = strategies.cli_inputs(rng, *yeast)
+        case = tmp_path / str(i)
+        case.mkdir()
+        (case / "w.json").write_bytes(wiring)
+        (case / "r.json").write_bytes(rules)
+        course_paths = [case / f"c{j}.csv" for j in range(len(courses))]
+        for path, text in zip(course_paths, courses):
+            path.write_bytes(text)
+        if command == "dynamics" and rng.random() < 0.5:
+            course_paths = []
+        node = rng.choice([None] * 7 + ["n0", "Sic1", "ghost"])
+        out = case / "out"
+        mode = rng.choice(["ncf", "unrestricted"])
+        argv = _argv(command, case / "w.json", course_paths, case / "r.json",
+                     out, node, mode, samples=rng.randint(0, 20))
+        code = run(argv)
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+            files = set(os.listdir(out)) if out.exists() else set()
+            assert files == _outputs(command, mode), argv
+        else:
+            assert code == 1, argv
+            assert _allowed_failure(_error_type(err)), (argv, err)
+            assert not out.exists() or not list(out.iterdir()), argv
+        outcomes[code] += 1
+    # both outcomes occur often enough to mean something
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,4 @@
 import random
-from unittest import mock
 
 import pytest
 
@@ -211,9 +210,6 @@ def test_int_sampler_matches_sample(arity, free):
         expected = oracles.scatter_draw(arity, pairs, theirs)
         assert table(draw(ours)) == space.sample(sampled).to_int() == expected
         assert ours.getstate() == sampled.getstate() == theirs.getstate()
-    # one draw scatters its bits itself and builds no lookup tables
-    with mock.patch.object(ModelSpace, "_sampler", side_effect=AssertionError):
-        space.sample(random.Random(0))
     if free <= 9:
         # the assignment is the row of its table in the materialized order
         expected = [oracles.scatter(arity, pairs, a) for a in range(count)]
