@@ -54,7 +54,6 @@ from .ncf import (
     enumerate_ncfs,
     is_ncf,
     is_ncf_wrt,
-    ncf_forms_of,
     ncf_from_form,
 )
 

@@ -73,10 +73,10 @@ def index_to_subset(index):
 
 class _PackedVector:
     """An immutable 0/1 vector of length 2**arity packed into one integer,
-    bit m holding entry m and unpacked on first access.  Subclasses name
+    bit m holding entry m and unpacked on each access.  Subclasses name
     the entries' accessor and the nouns of error messages."""
 
-    __slots__ = ("arity", "_bits", "_unpacked")
+    __slots__ = ("arity", "_bits")
     _accessor = _noun = _what = ""  # set by each subclass
 
     def _init(self, arity, entries, allow_big):
@@ -89,7 +89,6 @@ class _PackedVector:
             )
         _check_bits(entries, self._what)
         self.arity = arity
-        self._unpacked = entries
         self._bits = sum(v << m for m, v in enumerate(entries))
 
     @classmethod
@@ -100,14 +99,11 @@ class _PackedVector:
         self = object.__new__(cls)
         self.arity = arity
         self._bits = bits
-        self._unpacked = None
         return self
 
     def _entries(self):
-        if self._unpacked is None:
-            bits = self._bits
-            self._unpacked = tuple([(bits >> m) & 1 for m in range(1 << self.arity)])
-        return self._unpacked
+        bits = self._bits
+        return tuple([(bits >> m) & 1 for m in range(1 << self.arity)])
 
     def to_int(self):
         """Packed integer representation; bit m holds entry m."""
@@ -215,7 +211,7 @@ def evaluate(table, point):
             f"point has length {len(point)}, expected {table.arity}"
         )
     _check_bits(point, "point")
-    return table.values[point_to_index(point)]
+    return (table.to_int() >> point_to_index(point)) & 1
 
 
 def essential_vars(table):

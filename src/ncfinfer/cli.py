@@ -26,7 +26,7 @@ from .dynamics import (
     sample_ensemble,
     trajectory_component_size,
 )
-from .errors import ToolError
+from .errors import ParseError, ToolError
 # called by these bare names: the benchmark (perfbench/job.py) times parsing
 # by wrapping them on this module
 from .formats import parse_rules, parse_timecourse, parse_wiring
@@ -36,7 +36,14 @@ from .ncf import _census_size, enumerate_ncfs
 
 def _read_input(path):
     data = Path(path).read_bytes()
-    return data.decode("utf-8-sig"), hashlib.sha256(data).hexdigest()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as e:
+        # e.object is the data after any byte order mark; e.start indexes it
+        line = e.object.count(b"\n", 0, e.start) + 1
+        bad = f"byte 0x{e.object[e.start]:02x} on line {line}"
+        raise ParseError(f"{path} is not UTF-8: {bad}", line=line) from e
+    return text, hashlib.sha256(data).hexdigest()
 
 
 class _RawJSON:
@@ -202,7 +209,7 @@ def _ncf_records_json(ncfs, lines):
     # ncfs.json_records() as a top-level value, given ncfs.anf_lines(), each
     # record one f-string of cached int lists and witness heads.  ANF text
     # ([0-9x*+ ]) needs no JSON escaping; an enumerated catalog is never
-    # empty and carries witnesses.
+    # empty.
     lists, heads = {}, {}
 
     def int_list(t):

@@ -31,7 +31,6 @@ __all__ = [
     "is_ncf_wrt",
     "is_ncf",
     "enumerate_ncfs",
-    "ncf_forms_of",
 ]
 
 
@@ -153,12 +152,6 @@ def _peeled(k, seen, value):
     return sorted(zip(*found), key=itemgetter(0))
 
 
-def _witness_of(bits, k):
-    # the witness form of the table `bits` on k inputs, or None
-    pairs = _peeled(k, (1 << (1 << k)) - 1, bits)
-    return pairs[0][1] if pairs else None
-
-
 def completion(subset, order):
     """Prefix of the test order ending at the latest tested member of a
     nonempty ``subset``, as a frozenset."""
@@ -230,29 +223,18 @@ def is_ncf(table):
 
 
 class NcfSet:
-    """Deduplicated set of nested canalyzing truth tables of one arity.
+    """Set of nested canalyzing truth tables of one arity, as the peel
+    finds them: ``enumerate_ncfs``, ``infer_ncfs`` and ``fitting`` build
+    every set.
 
     Members are held as two aligned tuples: their table integers in
     ascending order, so iteration, export and comparisons are
-    deterministic, and their witnesses, each the first form in the order
-    of :func:`ncf_forms_of` as an (order, inputs, outputs) triple, or None
-    for a member that is not nested canalyzing.  A set built from the peel
-    takes the witnesses the peel found; the public constructor finds each
-    member's once.  ``members`` builds the ``TruthTable`` objects on first
-    access.
+    deterministic, and their witnesses, the one form the peel yields for
+    each, as (order, inputs, outputs) triples.  ``members`` builds the
+    ``TruthTable`` objects on first access.
     """
 
     __slots__ = ("arity", "_ints", "_forms", "_members")
-
-    def __init__(self, arity, members):
-        ints = set()
-        for t in members:
-            if t.arity != arity:
-                raise ValueError("all members must share the set's arity")
-            ints.add(t.to_int())
-        self.arity, self._members = arity, None
-        self._ints = tuple(sorted(ints))
-        self._forms = tuple([_witness_of(b, arity) for b in self._ints])
 
     @classmethod
     def _of(cls, arity, pairs):
@@ -306,11 +288,10 @@ class NcfSet:
         )
 
     def witness(self, table):
-        """One cascade form generating ``table``, or None if it has none."""
+        """The witness form generating the member ``table``."""
         if table not in self:
             raise KeyError(f"{table!r} is not a member")
-        w = self._forms[bisect_left(self._ints, table.to_int())]
-        return None if w is None else NcfForm(*w)
+        return NcfForm(*self._forms[bisect_left(self._ints, table.to_int())])
 
     def anf_lines(self):
         """Canonical ANF strings, one per member, in member order."""
@@ -323,9 +304,7 @@ class NcfSet:
             {
                 "table": bits,
                 "anf": anf,
-                "witness_form": None
-                if w is None
-                else dict(zip(("order", "inputs", "outputs"), map(list, w))),
+                "witness_form": dict(zip(("order", "inputs", "outputs"), map(list, w))),
             }
             for bits, anf, w in zip(self._ints, self.anf_lines(), self._forms)
         ]
@@ -366,30 +345,3 @@ def _census_size(k):
     for n in range(1, k - 1):
         ordered.append(sum(comb(n, j) * ordered[n - j] for j in range(1, n + 1)))
     return 2 ** (k + 1) * sum(comb(k, j) * ordered[k - j] for j in range(2, k + 1))
-
-
-def ncf_forms_of(table):
-    """All cascade forms generating ``table``; empty iff it is not an NCF.
-
-    From the witness, whose layers are the runs of equal outputs (the last
-    variable flipped to join the final run), every form permutes each
-    layer and keeps or flips the last variable.  Forms are sorted by order,
-    then by inputs and outputs read from the last layer back, so the
-    witness comes first.
-    """
-    k = table.arity
-    w = _witness_of(table.to_int(), k)
-    if w is None:
-        return []
-    order, inputs, outputs = w
-    cells = list(zip(order, inputs, outputs))
-    if k > 1 and outputs[-1] != outputs[-2]:
-        cells[-1] = (order[-1], 1, outputs[-2])
-    layers = [list(run) for _, run in itertools.groupby(cells, key=lambda c: c[2])]
-    forms = []
-    for perm in itertools.product(*map(itertools.permutations, layers)):
-        o, a, b = zip(*itertools.chain.from_iterable(perm))
-        forms.append((o, a, b))
-        forms.append((o, a[:-1] + (1 - a[-1],), b[:-1] + (1 - b[-1],)))
-    forms.sort(key=lambda f: (f[0], f[1][::-1], f[2][::-1]))
-    return [NcfForm(*f) for f in forms]

@@ -54,19 +54,19 @@ MUTANTS = (
     Mutant(
         "membership-bound", "ncf.py",
         "self._ints[i : i + 1] == (bits,)", "i < len(self._ints)",
-        (f"{NCF}::test_ncf_set_built_from_tables",),
+        (f"{NCF}::test_ncf_set_membership_equality_and_hash",),
     ),
     Mutant(
         "membership-arity", "ncf.py",
         "return table.arity == self.arity and self._ints",
         "return self._ints",
-        (f"{NCF}::test_ncf_set_built_from_tables",),
+        (f"{NCF}::test_ncf_set_membership_equality_and_hash",),
     ),
     Mutant(
         "equality-arity", "ncf.py",
         "return (self.arity, self._ints) == (other.arity, other._ints)",
         "return self._ints == other._ints",
-        (f"{NCF}::test_ncf_set_built_from_tables",),
+        (f"{NCF}::test_ncf_set_membership_equality_and_hash",),
     ),
     Mutant(
         "fitting-filter", "ncf.py",
@@ -74,12 +74,6 @@ MUTANTS = (
         "if p[0] & value_bits == value_bits]",
         (f"{NCF}::test_fitting_keeps_the_members_equal_to_the_data_and_their_"
          "witnesses",),
-    ),
-    Mutant(
-        "constructor-witness", "ncf.py",
-        "self._forms = tuple([_witness_of(b, arity) for b in self._ints])",
-        "self._forms = (None,) * len(self._ints)",
-        (f"{NCF}::test_ncf_set_built_from_tables",),
     ),
     Mutant(
         "peel-unsorted", "ncf.py",
@@ -208,6 +202,18 @@ MUTANTS = (
         "    at -= ahead\n", "",
         (f"{DYN}::test_analyze_matches_the_oracle_on_shaped_maps",),
     ),
+    # a file that is not UTF-8: the line counted after any byte order mark
+    Mutant(
+        "decode-line-after-bom", "cli.py",
+        'e.object.count(b"\\n", 0, e.start)', 'data.count(b"\\n", 0, e.start)',
+        (f"{CLI}::test_a_file_that_is_not_utf8_is_a_parse_error",),
+    ),
+    # one entry read off the packed int
+    Mutant(
+        "evaluate-bit", "boolfun.py",
+        ">> point_to_index(point)) & 1", ">> point_to_index(point))",
+        (f"{BOOL}::test_evaluate_agrees_with_anf_evaluation",),
+    ),
     # the attractor report
     Mutant(
         "separator-rewrite", "_engine.py",
@@ -315,13 +321,6 @@ EQUIVALENT = (
         (f"{NCF}::test_lazy_members_are_the_sorted_census_tables",),
         "the peel yields each table int once, so sorting the pairs orders "
         "them by int and never compares two witnesses",
-    ),
-    Mutant(
-        "witness-last-pair", "ncf.py",
-        "return pairs[0][1] if pairs else None",
-        "return pairs[-1][1] if pairs else None",
-        (f"{NCF}::test_witness_is_first_form_of_full_scan",),
-        "a peel against the whole table finds at most one function",
     ),
     Mutant(
         "ncf-draw-range", "dynamics.py",

@@ -227,6 +227,7 @@ def candidate_draw(rec, rng, mode):
 
 
 def filtered(ncfs, keep):
-    """The members of the NcfSet ``ncfs`` passing ``keep``, as a new set
-    built from the tables alone."""
-    return type(ncfs)(ncfs.arity, [t for t in ncfs if keep(t)])
+    """The members of the NcfSet ``ncfs`` passing ``keep``, with their
+    witnesses, as a new set."""
+    pairs = [(t.to_int(), ncfs.witness(t)) for t in ncfs if keep(t)]
+    return type(ncfs)._of(ncfs.arity, pairs)

@@ -496,6 +496,38 @@ def test_an_empty_wiring_is_a_parse_error(command, tmp_path, capsys):
     assert not out.exists()
 
 
+UTF8_FILES = {
+    "w.json": b'{"nodes": ["A"],\n "regulators": {"A": ["A"]}}\n',
+    "c.csv": b"A\n0\n1\n",
+    "r.json": b'{\n "rules": {"A": "1 + x1"}\n}\n',
+}  # each command runs on these as they are
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+@pytest.mark.parametrize(
+    "command, bad",
+    [(c, f) for c in ("infer", "check", "sample") for f in ("w.json", "c.csv")]
+    + [("dynamics", f) for f in UTF8_FILES],
+)
+def test_a_file_that_is_not_utf8_is_a_parse_error(command, bad, bom, tmp_path, capsys):
+    # the error names the file and the line of the first byte that fails to
+    # decode, counted after any byte order mark
+    for name, data in UTF8_FILES.items():
+        if name == bad:
+            data = bom + data.replace(b"\n", b"\n\xe9", 1)
+        (tmp_path / name).write_bytes(data)
+    wiring, course, rules = (tmp_path / name for name in UTF8_FILES)
+    out = tmp_path / "out"
+    assert run(_argv(command, wiring, [course], rules, out)) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {
+        "type": "ParseError",
+        "message": f"{tmp_path / bad} is not UTF-8: byte 0xe9 on line 2",
+        "line": 2,
+    }
+    assert not out.exists()
+
+
 def test_a_directory_in_the_way_leaves_no_new_file(yeast_files, tmp_path, capsys):
     # infer.json would move in first, then infer.txt could not replace the
     # directory: every target is checked before either moves
@@ -543,6 +575,7 @@ def test_failure_contract_on_generated_inputs(command, tmp_path, capsys):
         else:
             assert code == 1, argv
             assert _allowed_failure(_error_type(err)), (argv, err)
+            assert _error_type(err) != "UnicodeDecodeError", (argv, err)
             assert not out.exists() or not list(out.iterdir()), argv
         outcomes[code] += 1
     # both outcomes occur often enough to mean something

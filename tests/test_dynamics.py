@@ -419,7 +419,7 @@ def test_sample_ensemble_configuration_error():
         regulators=("A",),
         data=data,
         space_size=2,
-        ncfs=NcfSet(1, []),  # pretend neither is an NCF
+        ncfs=NcfSet._of(1, []),  # pretend neither is an NCF
         near_misses=(),
     )
     wiring = WiringDiagram(["A"], [[0]])

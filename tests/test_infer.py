@@ -335,7 +335,8 @@ def test_cross_check_validates_the_filtered_set(yeast, monkeypatch):
 
     def drop_first(self, seen_bits, value_bits):
         kept = real(self, seen_bits, value_bits)
-        return NcfSet(kept.arity, kept.members[1:])
+        pairs = [(t.to_int(), kept.witness(t)) for t in kept]
+        return NcfSet._of(kept.arity, pairs[1:])
 
     monkeypatch.setattr(NcfSet, "fitting", drop_first)
     assert not cross_check(wiring, course, i)

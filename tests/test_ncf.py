@@ -22,14 +22,12 @@ from ncfinfer.errors import CapacityError
 from ncfinfer.infer import infer_all
 from ncfinfer.ncf import (
     NcfForm,
-    NcfSet,
     _census_size,
     _fitting_forms,
     completion,
     enumerate_ncfs,
     is_ncf,
     is_ncf_wrt,
-    ncf_forms_of,
     ncf_from_form,
 )
 
@@ -227,15 +225,6 @@ def test_ncf_from_form_checks_the_hard_cap_before_allocating():
         ncf_from_form(form)
 
 
-def test_ncf_forms_of():
-    assert ncf_forms_of(XOR2) == []
-    neg_forms = ncf_forms_of(TruthTable(1, [1, 0]))
-    assert {(f.inputs, f.outputs) for f in neg_forms} == {((0,), (1,)), ((1,), (0,))}
-    and_forms = ncf_forms_of(AND2)
-    assert and_forms
-    assert all(ncf_from_form(f) == AND2 for f in and_forms)
-
-
 # Ordered Bell (Fubini) numbers: ordered partitions of an n-set.
 FUBINI = (1, 1, 3, 13, 75, 541, 4683)
 
@@ -259,15 +248,16 @@ def test_witness_forms_regenerate_members():
     for k in (3, 4, 5):
         ncfs = enumerate_ncfs(k)
         for t in ncfs:
-            assert ncf_from_form(ncfs.witness(t)) == t
+            assert _pointwise_int(*ncfs.witness(t)) == t.to_int()
 
 
 def test_witness_is_first_form_of_full_scan():
+    # at k = 5 the golden digest of ncfs_k5.json pins every witness
     rng = random.Random(2013)
-    for k, count in ((1, 2), (2, 8), (3, 64), (4, 40), (5, 3)):
+    for k, count in ((1, 2), (2, 8), (3, 64), (4, 40)):
         ncfs = enumerate_ncfs(k)
         for t in rng.sample(ncfs.members, count):
-            assert ncfs.witness(t) == ncf_forms_of(t)[0]
+            assert ncfs.witness(t) == _oracle_forms(k)[t.to_int()][0]
 
 
 def test_ncf_set_export():
@@ -275,17 +265,15 @@ def test_ncf_set_export():
     assert ncfs.anf_lines() == ["1 + x1", "x1"]
     records = ncfs.json_records()
     assert [r["table"] for r in records] == [1, 2]
-    assert all(r["witness_form"] is not None for r in records)
-    # stored witnesses and the search for members without one agree
-    stored = enumerate_ncfs(3)
-    searched = NcfSet(3, stored.members)
-    assert searched.json_records() == stored.json_records()
+    assert [r["witness_form"] for r in records] == [
+        {"order": [1], "inputs": [0], "outputs": [1]},
+        {"order": [1], "inputs": [0], "outputs": [0]},
+    ]
 
 
 def test_ncf_set_filtered_keeps_witnesses():
     ncfs = enumerate_ncfs(2)
-    # a subset built from its tables alone peels its witnesses again, and
-    # finds the ones the census stored
+    # a subset built from some of the census's pairs keeps their witnesses
     odd = oracles.filtered(ncfs, lambda t: t.to_int() % 2 == 1)
     assert all(t.to_int() % 2 == 1 for t in odd)
     for t in odd:
@@ -298,49 +286,10 @@ def _oracle_forms(k):
     return oracles.cascade_forms_by_table(k)
 
 
-def _forms(k, bits):
-    forms = ncf_forms_of(TruthTable.from_int(k, bits))
-    return [(f.order, f.inputs, f.outputs) for f in forms]
-
-
-def test_ncf_forms_of_matches_oracle_all_tables_small_k():
-    for k in (1, 2, 3):
-        by_table = _oracle_forms(k)
-        for bits in range(1 << (1 << k)):
-            assert _forms(k, bits) == by_table.get(bits, [])
-
-
-def test_ncf_forms_of_matches_oracle_every_k4_ncf():
-    by_table = _oracle_forms(4)
-    assert len(by_table) == 736
-    for bits, forms in by_table.items():
-        assert _forms(4, bits) == forms
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.integers(min_value=0, max_value=(1 << 16) - 1))
-def test_ncf_forms_of_matches_oracle_random_k4(bits):
-    assert _forms(4, bits) == _oracle_forms(4).get(bits, [])
-
-
-def test_ncf_forms_of_covers_every_k5_cascade_once():
-    # the oracle tests stop at k = 4; at k = 5 the members' forms are all
-    # 5!·4^5 cascades, each listed once, each member's witness first
-    ncfs = enumerate_ncfs(5)
-    every = set()
-    for t in ncfs.members:
-        forms = ncf_forms_of(t)
-        assert forms[0] == ncfs.witness(t)
-        assert len(set(forms)) == len(forms)
-        every.update(forms)
-    assert len(every) == 120 * 4**5 == 122_880
-    for t in random.Random(5).sample(ncfs.members, 100):
-        assert all(ncf_from_form(f) == t for f in ncf_forms_of(t))
-
-
 @functools.lru_cache(maxsize=None)
 def _pointwise_int(order, inputs, outputs):
-    return ncf_from_form(NcfForm(order, inputs, outputs)).to_int()
+    values = oracles.cascade_values(order, inputs, outputs)
+    return sum(v << m for m, v in enumerate(values))
 
 
 @st.composite
@@ -429,39 +378,38 @@ def test_fitting_keeps_the_members_equal_to_the_data_and_their_witnesses():
     ncfs = enumerate_ncfs(3)
     seen, value = 0b10010110, 0b10000010
     fit = ncfs.fitting(seen, value)
-    assert fit == oracles.filtered(ncfs, lambda t: t.to_int() & seen == value)
+    assert fit.to_ints() == tuple(b for b in ncfs.to_ints() if b & seen == value)
     assert 0 < len(fit) < len(ncfs)
     for t in fit:
         assert fit.witness(t) == ncfs.witness(t)
 
 
-def test_ncf_set_built_from_tables():
+def test_ncf_set_membership_equality_and_hash():
     census = enumerate_ncfs(2)
     nor2 = TruthTable(2, [1, 0, 0, 0])
-    # a table that is not nested canalyzing is a member without a witness
-    mixed = NcfSet(2, [XOR2, AND2, nor2, AND2])
-    assert mixed.to_ints() == (1, 6, 8)
-    assert mixed.witness(XOR2) is None
-    for t in (AND2, nor2):
-        assert mixed.witness(t) == census.witness(t)
-    records = mixed.json_records()
-    assert [r["table"] for r in records] == [1, 6, 8]
-    assert [r["witness_form"] is None for r in records] == [False, True, False]
-    fit = mixed.fitting(0b0001, 0)
-    assert fit.to_ints() == (6, 8)
-    assert fit.witness(XOR2) is None
+    assert census.to_ints() == (1, 2, 4, 7, 8, 11, 13, 14)
+    fit = census.fitting(0b0001, 0)
+    assert fit.to_ints() == (2, 4, 8, 14)
     assert fit.witness(AND2) == census.witness(AND2)
-    # the same tables make an equal set with an equal hash
-    rebuilt = NcfSet(2, census.members)
+    with pytest.raises(KeyError):
+        fit.witness(nor2)
+    # the same pairs make an equal set with an equal hash
+    rebuilt = census.fitting(0, 0)
+    assert rebuilt is not census
     assert rebuilt == census and hash(rebuilt) == hash(census)
-    assert rebuilt != mixed and NcfSet(1, []) != NcfSet(2, [])
+    assert rebuilt != fit
+    # the same integers at another arity make another set, empty ones too
+    assert census.fitting(0b1100, 0).to_ints() == enumerate_ncfs(1).to_ints()
+    assert census.fitting(0b1100, 0) != enumerate_ncfs(1)
+    none1, none2 = enumerate_ncfs(1).fitting(0b11, 0b11), census.fitting(15, 15)
+    assert len(none1) == len(none2) == 0 and none1 != none2
     # membership outside the members' range or arity
     low, high = census.to_ints()[0], census.to_ints()[-1]
     assert (low, high) == (1, 14)
     for bits in (0, 15):
         assert TruthTable.from_int(2, bits) not in census
     assert TruthTable.from_int(3, 8) not in census
-    assert AND2 in census and XOR2 not in census and XOR2 in mixed
+    assert AND2 in census and XOR2 not in census
     with pytest.raises(KeyError):
         census.witness(XOR2)
 
