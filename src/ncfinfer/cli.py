@@ -34,7 +34,9 @@ from .infer import count_models, cross_check, infer_all, states_as_ints
 from .ncf import _census_size, enumerate_ncfs
 
 
-def _read_input(path):
+def _parsed(path, parse, *args):
+    """``(parse(text, *args), digest)``: the UTF-8 text of the file at
+    ``path``, parsed, and the sha256 hex digest of its bytes."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8-sig")
@@ -43,7 +45,8 @@ def _read_input(path):
         line = e.object.count(b"\n", 0, e.start) + 1
         bad = f"byte 0x{e.object[e.start]:02x} on line {line}"
         raise ParseError(f"{path} is not UTF-8: {bad}", line=line) from e
-    return text, hashlib.sha256(data).hexdigest()
+    digest = hashlib.sha256(data).hexdigest()
+    return parse(text, *args), digest
 
 
 class _RawJSON:
@@ -78,11 +81,6 @@ def _json_chunks(report):
     return chunks
 
 
-def _json_report(obj):
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte."""
-    return "".join(_json_chunks(obj))
-
-
 def _write_outputs(out_dir, outputs):
     # all or nothing: every file is staged in a temporary directory beside
     # its final place and moved in once all are written; a report given as
@@ -104,13 +102,10 @@ def _write_outputs(out_dir, outputs):
             os.replace(Path(staging) / name, out / name)
 
 
-def _load_course_args(args):
-    courses, digests = [], []
-    for p in args.timecourse:
-        text, digest = _read_input(p)
-        courses.append(parse_timecourse(text))
-        digests.append(digest)
-    return courses, digests
+def _courses(args):
+    # the parsed time courses and their digests, as two lists
+    parsed = [_parsed(p, parse_timecourse) for p in args.timecourse]
+    return [c for c, _ in parsed], [d for _, d in parsed]
 
 
 def _infer_payload(result, digests):
@@ -187,9 +182,8 @@ def _infer_table(payload):
 
 
 def cmd_infer(args):
-    wiring_text, wiring_digest = _read_input(args.wiring)
-    wiring = parse_wiring(wiring_text)
-    courses, course_digests = _load_course_args(args)
+    wiring, wiring_digest = _parsed(args.wiring, parse_wiring)
+    courses, course_digests = _courses(args)
     result = infer_all(wiring, courses, only=args.node)
     payload = _infer_payload(
         result,
@@ -283,12 +277,10 @@ def _dynamics_summary(space):
 
 
 def cmd_dynamics(args):
-    wiring_text, wiring_digest = _read_input(args.wiring)
-    wiring = parse_wiring(wiring_text)
-    rules_text, rules_digest = _read_input(args.rules)
-    tables = parse_rules(rules_text, wiring)
+    wiring, wiring_digest = _parsed(args.wiring, parse_wiring)
+    tables, rules_digest = _parsed(args.rules, parse_rules, wiring)
     net = BooleanNetwork(wiring, tables)
-    courses, digests = _load_course_args(args)
+    courses, digests = _courses(args)
     courses = [states_as_ints(wiring, c) for c in courses]
     space = phase_space(net)
     payload = _dynamics_payload(
@@ -315,12 +307,11 @@ def _histogram_csv(stats):
 
 
 def cmd_sample(args):
-    wiring_text, wiring_digest = _read_input(args.wiring)
-    wiring = parse_wiring(wiring_text)
+    wiring, wiring_digest = _parsed(args.wiring, parse_wiring)
     # fail before inference, not after it
     _network_size(wiring)
     _check_sampling(args.samples, args.seed)
-    courses, course_digests = _load_course_args(args)
+    courses, course_digests = _courses(args)
     result = infer_all(wiring, courses)
     stats = sample_ensemble(result, args.samples, args.seed, args.mode)
     payload = {
@@ -352,9 +343,8 @@ def cmd_sample(args):
 
 
 def cmd_check(args):
-    wiring_text, _ = _read_input(args.wiring)
-    wiring = parse_wiring(wiring_text)
-    courses, _ = _load_course_args(args)
+    wiring, _ = _parsed(args.wiring, parse_wiring)
+    courses, _ = _courses(args)
     names = [args.node] if args.node else list(wiring.nodes)
     failures = []
     for name in names:
@@ -377,15 +367,14 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, timecourse=True, out=True):
+    def add_io(p, out=True):
         p.add_argument("--wiring", required=True, help="wiring diagram JSON file")
-        if timecourse:
-            p.add_argument(
-                "--timecourse",
-                action="append",
-                required=True,
-                help="time-course CSV file (repeatable)",
-            )
+        p.add_argument(
+            "--timecourse",
+            action="append",
+            required=True,
+            help="time-course CSV file (repeatable)",
+        )
         if out:
             p.add_argument("--out", help="directory for report files")
 
@@ -433,25 +422,12 @@ def run(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ToolError as e:
-        sys.stderr.write(
-            _json_report(
-                {
-                    "error": {
-                        "type": type(e).__name__,
-                        "message": str(e),
-                        **e.context,
-                    }
-                }
-            )
-        )
-        return 1
-    except (ValueError, KeyError, OSError) as e:
+    except (ToolError, ValueError, KeyError, OSError) as e:
         # str(KeyError) wraps its argument in quotes; unwrap for readability
         message = e.args[0] if isinstance(e, KeyError) and e.args else str(e)
-        sys.stderr.write(
-            _json_report({"error": {"type": type(e).__name__, "message": message}})
-        )
+        context = e.context if isinstance(e, ToolError) else {}
+        error = {"type": type(e).__name__, "message": message, **context}
+        sys.stderr.write(json.dumps({"error": error}, indent=2, sort_keys=True) + "\n")
         return 1
 
 

@@ -8,6 +8,7 @@ first phase-space call, so inference alone never loads numpy.
 
 import os
 import random
+import sys
 import threading
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, NamedTuple
@@ -245,6 +246,11 @@ def _check_sampling(samples, seed):
         raise ValueError("sample count must be positive")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
+    if 24 * samples > sys.maxsize:
+        raise CapacityError(
+            f"{samples} samples exceed the 24-byte-per-sample statistics mapping",
+            samples=samples,
+        )
 
 
 def _worker_count(n, chunks):
@@ -337,7 +343,7 @@ def sample_ensemble(result, samples, seed, mode):
     analysis peaks at 61 bytes per state under tracemalloc, 4.0 MB: each
     extra worker adds that and the pages it copies on write.  The
     statistics take 24 bytes per sample, in one mapping all processes
-    share.
+    share, so a count above sys.maxsize / 24 raises ``CapacityError``.
     """
     _check_sampling(samples, seed)
     covered = {rec.name for rec in result.nodes}

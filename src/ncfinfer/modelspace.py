@@ -5,11 +5,11 @@ The fitting functions form a coset, the interpolant plus the ideal that
 sampled as assignments to the unobserved points.
 """
 
+from operator import or_
 from typing import NamedTuple
 
-from .boolfun import (
-    TruthTable, _check_arity, _check_bits, anf_to_tt, point_to_index, tt_to_anf
-)
+from .boolfun import TruthTable, _byte_rows, _check_arity, _check_bits
+from .boolfun import anf_to_tt, point_to_index, tt_to_anf
 from .errors import CapacityError, InconsistentDataError
 
 _MATERIALIZE_CAP = 20  # free bits; 2^20 tables is the most tables() will yield
@@ -114,43 +114,35 @@ def model_space_size(data):
 
 
 class ModelSpace(NamedTuple):
-    """Materializable view of all functions fitting one node's data."""
+    """Materializable view of all functions fitting one node's data: the
+    record of one ``LocalData``."""
 
-    arity: int
     data: LocalData
-    interpolant: TruthTable
-    unseen: tuple
 
     @classmethod
     def from_data(cls, data):
-        seen = set(data.seen_indices())
-        unseen = tuple(
-            idx for idx in range(1 << data.arity) if idx not in seen
-        )
-        return cls(data.arity, data, interpolant(data), unseen)
+        return cls(data)
 
     @property
     def size(self):
-        return 1 << len(self.unseen)
+        return model_space_size(self.data)
 
     def tables(self):
         """Yield every fitting function once, in ``_sampler()`` order: one
         step per assignment to the unobserved points."""
-        free = len(self.unseen)
+        free = (1 << self.data.arity) - self.data.distinct_inputs
         if free > _MATERIALIZE_CAP:
-            raise CapacityError(
-                f"refusing to materialize 2^{free} tables",
-                free_bits=free,
-            )
+            raise CapacityError(f"refusing to materialize 2^{free} tables",
+                                free_bits=free)
         count, _, table = self._sampler()
         for assign in range(count):
-            yield TruthTable.from_int(self.arity, table(assign), allow_big=True)
+            yield TruthTable.from_int(self.data.arity, table(assign), allow_big=True)
 
     def sample(self, rng):
         """One fitting function uniformly at random (rng: random.Random),
         drawn as ``_sampler()`` draws it."""
         _, draw, table = self._sampler()
-        return TruthTable.from_int(self.arity, table(draw(rng)), allow_big=True)
+        return TruthTable.from_int(self.data.arity, table(draw(rng)), allow_big=True)
 
     def _sampler(self):
         """The fitting functions as table ints, ``(count, draw, table)``.
@@ -162,15 +154,13 @@ class ModelSpace(NamedTuple):
         entry v of byte b's lookup table holds bit j of v at the (8b + j)-th
         unobserved index, shifted down to the byte's first one.
         """
-        free = len(self.unseen)
-        spread = []
-        for lo in range(0, free, 8):
-            points = self.unseen[lo:lo + 8]
-            entries = [0]
-            for idx in points:
-                entries += [e | 1 << (idx - points[0]) for e in entries]
-            spread.append((points[0], entries))
-        base = self.data._value_bits
+        data = self.data
+        seen = format(data._seen_bits, f"0{1 << data.arity}b")[::-1]
+        unseen = [idx for idx, bit in enumerate(seen) if bit == "0"]
+        units = [1 << (idx - unseen[j & ~7]) for j, idx in enumerate(unseen)]
+        spread = list(zip(unseen[::8], _byte_rows(units, 0, or_)))
+        free = len(unseen)
+        base = data._value_bits
 
         def table(assign):
             bits = base

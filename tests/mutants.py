@@ -208,6 +208,17 @@ MUTANTS = (
         'e.object.count(b"\\n", 0, e.start)', 'data.count(b"\\n", 0, e.start)',
         (f"{CLI}::test_a_file_that_is_not_utf8_is_a_parse_error",),
     ),
+    # the CLI's one error branch: the context keys, a KeyError unquoted
+    Mutant(
+        "error-context", "cli.py",
+        "context = e.context if isinstance(e, ToolError) else {}", "context = {}",
+        (f"{CLI}::test_cli_error_objects_byte_for_byte",),
+    ),
+    Mutant(
+        "error-key-quoted", "cli.py",
+        "e.args[0] if isinstance(e, KeyError) and e.args else str(e)", "str(e)",
+        (f"{CLI}::test_cli_error_objects_byte_for_byte",),
+    ),
     # one entry read off the packed int
     Mutant(
         "evaluate-bit", "boolfun.py",

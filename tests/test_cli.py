@@ -272,7 +272,7 @@ def test_dynamics_report_matches_the_oracle(graph, block):
     with mock.patch.object(_engine, "_BLOCK", block or _engine._BLOCK):
         space = _analyze(np.array(succ, dtype=np.uint32), n)
         inputs = {"wiring_sha256": "w", "rules_sha256": "r"}
-        report = cli._json_report(cli._dynamics_payload(space, inputs))
+        report = "".join(cli._json_chunks(cli._dynamics_payload(space, inputs)))
         alone = _attractor_bits(n, space.cycle_states, space.cycle_ends, "\n")
     _, cycles, sizes = oracles.functional_graph(succ)
     expected = {
@@ -338,12 +338,10 @@ def test_dynamics_leaves_the_attractor_tuples_unbuilt(
 def _yeast_rules(result):
     # a fully specified fitting model: one fitting NCF per node, the forced
     # constant for Cln3
-    from ncfinfer.boolfun import anf_string, tt_to_anf
-
     anf_of = {
         rec.name: rec.ncfs.anf_lines()[0]
         if rec.ncfs.members
-        else anf_string(tt_to_anf(rec.forced))
+        else oracles.anf_text(rec.forced.values, rec.forced.arity)
         for rec in result.nodes
     }
     return json.dumps({"rules": anf_of})
@@ -876,6 +874,70 @@ def test_sample_checks_its_arguments_before_inference(bad, message, capsys, monk
     assert calls == []
 
 
+def test_sample_refuses_a_huge_count_before_inference(tmp_path, capsys, monkeypatch):
+    # 24 bytes per sample would overflow the statistics mapping's length
+    calls = []
+    monkeypatch.setattr(cli, "infer_all", lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "out"
+    code = run(["sample", *YEAST_IO, "--mode", "ncf", "-m", str(10**18),
+                "--seed", "1", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)["error"]
+    assert (err["type"], err["samples"]) == ("CapacityError", 10**18)
+    assert str(10**18) in err["message"]
+    assert captured.out == ""
+    assert calls == []
+    assert not out.exists()
+
+
+def test_cli_error_objects_byte_for_byte(tmp_path, capsys):
+    # the exact stderr of three failures: a tool error with its context, a
+    # KeyError (its message unquoted) and an OSError
+    wiring, course = tmp_path / "w.json", tmp_path / "c.csv"
+    wiring.write_text('{"nodes": ["A"], "regulators": {"A": ["A"]}}')
+    course.write_text("A\n0\n1\n0\n0\n")  # (0 -> 1) vs (0 -> 0)
+    missing = tmp_path / "nope.json"
+    runs = [
+        (["infer", "--wiring", str(wiring), "--timecourse", str(course)], """{
+  "error": {
+    "first_transition": [
+      1,
+      1
+    ],
+    "input": [
+      0
+    ],
+    "message": "node 'A': input (0,) maps to 1 at course 1 row 1 but to 0 at course 1 row 3",
+    "node": "A",
+    "second_transition": [
+      1,
+      3
+    ],
+    "type": "InconsistentDataError"
+  }
+}
+"""),
+        (["infer", *YEAST_IO, "--node", "Nope"], """{
+  "error": {
+    "message": "unknown node 'Nope'",
+    "type": "KeyError"
+  }
+}
+"""),
+        (["infer", "--wiring", str(missing), "--timecourse", str(course)], f"""{{
+  "error": {{
+    "message": "[Errno 2] No such file or directory: '{missing}'",
+    "type": "FileNotFoundError"
+  }}
+}}
+"""),
+    ]
+    for argv, expected in runs:
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", expected)
+
+
 def test_cli_runs_keep_openblas_to_one_thread():
     # numpy's BLAS is never called: without a user setting, a run that
     # loads numpy starts no OpenBLAS worker threads
@@ -954,7 +1016,6 @@ def test_json_report_matches_the_stdlib(drawn):
     }
     chunks = cli._json_chunks(report)
     assert "".join(chunks) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
-    assert cli._json_report(report) == "".join(chunks)
     # a pre-rendered value is written as it is, never copied into a larger chunk
     for value in report.values():
         if isinstance(value, cli._RawJSON):
@@ -1006,33 +1067,54 @@ def test_reports_match_golden_digests(argv, digests, yeast_result, tmp_path, cap
     } == digests
 
 
-@pytest.mark.parametrize(
-    "argv, span",
-    [
-        (["infer", *YEAST_IO], "infer.local_data"),
-        (["sample", *YEAST_IO, "--mode", "unrestricted", "-m", "50", "--seed", "1"],
-         "infer.local_data"),
-        (["enumerate-ncfs", "5"], "ncf.enumerate_ncfs"),
-        (["check", *YEAST_IO, "--node", "Sic1"], "infer.cross_check"),
-    ],
-    ids=["infer", "sample-unrestricted", "enumerate-ncfs", "check"],
-)
-def test_benchmark_job_runs_traced(argv, span, tmp_path):
-    # the benchmark's tracer wraps named functions of the package and fails
-    # on a name that is gone
+def _benchmark_job(argv, trace, tmp_path):
+    # one perfbench/job.py run, traced or not, and its record
     repo = Path(__file__).resolve().parents[1]
-    record = tmp_path / "record.json"
+    record = tmp_path / f"record{trace}.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(ncfinfer.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, str(repo / "perfbench" / "job.py"), str(record), "j0", "1",
+        [sys.executable, str(repo / "perfbench" / "job.py"), str(record), "j0", trace,
          "--", *argv],
         env=env, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
-    rec = json.loads(record.read_text())
+    return json.loads(record.read_text())
+
+
+@pytest.mark.parametrize(
+    "argv, span, parses",
+    [
+        (["infer", *YEAST_IO, "--timecourse", str(yeast_timecourse_path())],
+         "infer.local_data", [1, 2, 0]),
+        (["sample", *YEAST_IO, "--mode", "unrestricted", "-m", "50", "--seed", "1"],
+         "infer.local_data", [1, 1, 0]),
+        (["enumerate-ncfs", "5"], "ncf.enumerate_ncfs", [0, 0, 0]),
+        (["check", *YEAST_IO, "--node", "Sic1"], "infer.cross_check", [1, 1, 0]),
+        (["dynamics", "--wiring", str(yeast_wiring_path()), "--rules", "RULES",
+          "--timecourse", str(yeast_timecourse_path())],
+         "dynamics.phase_space", [1, 1, 1]),
+    ],
+    ids=["infer", "sample-unrestricted", "enumerate-ncfs", "check", "dynamics"],
+)
+def test_benchmark_job_runs_traced(argv, span, parses, yeast_result, tmp_path):
+    # the benchmark's tracer wraps named functions of the package and fails
+    # on a name that is gone; it and the untraced parse-end marks see every
+    # parse through the parsers' names on the cli module
+    rules = tmp_path / "rules.json"
+    rules.write_text(_yeast_rules(yeast_result))
+    argv = [str(rules) if a == "RULES" else a for a in argv]
+    rec = _benchmark_job(argv, "1", tmp_path)
     assert rec["rc"] == 0
-    assert span in {s["name"] for s in rec["spans"]}
+    names = [s["name"] for s in rec["spans"]]
+    assert span in names
+    assert [
+        names.count(f"cli.{parse}")
+        for parse in ("parse_wiring", "parse_timecourse", "parse_rules")
+    ] == parses
+    rec = _benchmark_job(argv, "0", tmp_path)
+    assert rec["rc"] == 0
+    assert (rec["t_parsed"] > rec["t_import"]) == any(parses)
 
 
 def _syn16_like(rng):

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import sys
 import threading
 import time
 import tracemalloc
@@ -452,6 +453,22 @@ def test_sample_ensemble_argument_validation(yeast_result):
         sample_ensemble(yeast_result, 1, -1, "ncf")
     with pytest.raises(ValueError):
         sample_ensemble(yeast_result, 1, 1, "bogus")
+
+
+def test_sample_ensemble_refuses_a_count_beyond_its_mapping(yeast_result, monkeypatch):
+    # the statistics take 24 bytes per sample in one mapping, whose length
+    # must fit in a C ssize_t: a larger count is refused before any work
+    samplers = []
+    monkeypatch.setattr(
+        dynamics_module, "_node_sampler", lambda *args: samplers.append(args)
+    )
+    huge = sys.maxsize // 24 + 1
+    with pytest.raises(CapacityError, match=str(huge)) as caught:
+        sample_ensemble(yeast_result, huge, 1, "ncf")
+    assert caught.value.context == {"samples": huge}
+    assert samplers == []
+    # the largest count whose mapping fits passes the check
+    dynamics_module._check_sampling(huge - 1, 1)
 
 
 def _cpus(count):

@@ -9,7 +9,6 @@ import oracles
 from conftest import YEAST_NODES
 from strategies import consistent_instances
 from ncfinfer import infer as infer_module
-from ncfinfer.boolfun import TruthTable, essential_vars
 from ncfinfer.errors import CapacityError, InconsistentDataError
 from ncfinfer.infer import (
     TimeCourse,
@@ -22,7 +21,7 @@ from ncfinfer.infer import (
     near_misses,
 )
 from ncfinfer.modelspace import fits
-from ncfinfer.ncf import NcfSet, is_ncf
+from ncfinfer.ncf import NcfSet
 
 
 def test_wiring_validation():
@@ -130,8 +129,10 @@ def test_inferred_functions_are_sound(yeast):
         ncfs = infer_ncfs(wiring, course, i)
         for t in ncfs:
             assert fits(t, d)
-            assert is_ncf(t)
-            assert essential_vars(t) == frozenset(range(1, d.arity + 1))
+            assert t.to_int() in oracles.all_cascade_ints(d.arity)
+            assert oracles.essential_var_ids(t.to_int(), d.arity) == list(
+                range(1, d.arity + 1)
+            )
 
 
 def _random_instance(rng, max_k=4):
@@ -162,12 +163,11 @@ def test_completeness_against_full_truth_table_filter():
         wiring, course = _random_instance(rng)
         for i in range(len(wiring.nodes)):
             d = local_data(wiring, course, i)
-            k = d.arity
+            pairs = list(zip(d.seen_indices(), (out for _, out in d.pairs)))
             expected = {
                 bits
-                for bits in range(1 << (1 << k))
-                if fits(TruthTable.from_int(k, bits), d)
-                and is_ncf(TruthTable.from_int(k, bits))
+                for bits in oracles.all_cascade_ints(d.arity)
+                if all((bits >> idx) & 1 == out for idx, out in pairs)
             }
             got = {t.to_int() for t in infer_ncfs(wiring, course, i)}
             assert got == expected
@@ -365,7 +365,7 @@ def test_near_misses_are_fitting_sub_cascades(yeast):
     d = local_data(wiring, course, i)
     for table, essential in near_misses(wiring, course, i):
         assert fits(table, d)
-        assert essential_vars(table) == essential
+        assert set(oracles.essential_var_ids(table.to_int(), d.arity)) == essential
         assert len(essential) < d.arity
 
 
