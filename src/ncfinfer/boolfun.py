@@ -1,8 +1,8 @@
 """Truth tables and algebraic normal form for Boolean functions on few inputs.
 
-Functions are elements of F2[x_1..x_k] / (x_i^2 - x_i), held as a truth
-table or as ANF coefficients, both packed into one int; the README's
-``boolfun`` section describes the design.
+Functions are elements of F2[x_1..x_k] / (x_i^2 - x_i), each held as its
+truth table packed into one int, whether built from its values or from its
+ANF coefficients; the README's ``boolfun`` section describes the design.
 """
 
 from functools import lru_cache
@@ -71,106 +71,6 @@ def index_to_subset(index):
     return frozenset(out)
 
 
-class _PackedVector:
-    """An immutable 0/1 vector of length 2**arity packed into one integer,
-    bit m holding entry m and unpacked on each access.  Subclasses name
-    the entries' accessor and the nouns of error messages."""
-
-    __slots__ = ("arity", "_bits")
-    _accessor = _noun = _what = ""  # set by each subclass
-
-    def _init(self, arity, entries, allow_big):
-        _check_arity(arity, allow_big)
-        entries = tuple(entries)
-        if len(entries) != 1 << arity:
-            raise ValueError(
-                f"expected {1 << arity} {self._noun} for arity {arity}, "
-                f"got {len(entries)}"
-            )
-        _check_bits(entries, self._what)
-        self.arity = arity
-        self._bits = sum(v << m for m, v in enumerate(entries))
-
-    @classmethod
-    def _from_int(cls, arity, bits, allow_big):
-        _check_arity(arity, allow_big)
-        if not 0 <= bits < 1 << (1 << arity):
-            raise ValueError(f"packed value {bits} out of range for arity {arity}")
-        self = object.__new__(cls)
-        self.arity = arity
-        self._bits = bits
-        return self
-
-    def _entries(self):
-        bits = self._bits
-        return tuple([(bits >> m) & 1 for m in range(1 << self.arity)])
-
-    def to_int(self):
-        """Packed integer representation; bit m holds entry m."""
-        return self._bits
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.arity == other.arity and self._bits == other._bits
-
-    def __hash__(self):
-        return hash((self.arity, self._bits))
-
-    def __repr__(self):
-        return (
-            f"{type(self).__name__}(arity={self.arity}, "
-            f"{self._accessor}={list(self._entries())})"
-        )
-
-
-class TruthTable(_PackedVector):
-    """Value vector of a Boolean function on ``arity`` ordered inputs (0
-    allowed): values[m] is the value at the point indexed by m.
-    ``allow_big`` permits arities above the soft cap (``_check_arity``).
-    """
-
-    __slots__ = ()
-    _accessor, _noun, _what = "values", "values", "truth table values"
-
-    def __init__(self, arity, values, allow_big=False):
-        self._init(arity, values, allow_big)
-
-    @classmethod
-    def from_int(cls, arity, bits, allow_big=False):
-        """Build a table from its packed integer (bit m = value at index m)."""
-        return cls._from_int(arity, bits, allow_big)
-
-    values = property(
-        _PackedVector._entries,
-        doc="Tuple of 2**arity values; values[m] is the value at index m.",
-    )
-
-
-class CoeffVector(_PackedVector):
-    """Algebraic normal form coefficients, indexed by variable subsets.
-
-    coeffs[m] is the coefficient of the monomial over the subset whose
-    characteristic bit vector is m (m = 0 is the constant term).
-    """
-
-    __slots__ = ()
-    _accessor, _noun, _what = "coeffs", "coefficients", "ANF coefficients"
-
-    def __init__(self, arity, coeffs, allow_big=False):
-        self._init(arity, coeffs, allow_big)
-
-    @classmethod
-    def from_int(cls, arity, bits, allow_big=False):
-        """Build a vector from its packed integer (bit m = coeffs[m])."""
-        return cls._from_int(arity, bits, allow_big)
-
-    coeffs = property(
-        _PackedVector._entries,
-        doc="Tuple of 2**arity coefficients; coeffs[m] belongs to subset mask m.",
-    )
-
-
 @lru_cache(maxsize=None)
 def variable_masks(arity):
     """variable_masks(k)[j] has bit m set iff point m has x_{j+1} = 1: 2^j
@@ -188,19 +88,116 @@ def xor_transform(bits, arity):
     return bits
 
 
-def tt_to_anf(table):
-    """Algebraic normal form of a truth table: the unique c with table(x)
-    the XOR of c_S over the subsets S of support(x), at every point x."""
-    return CoeffVector.from_int(
-        table.arity, xor_transform(table.to_int(), table.arity), allow_big=True
+class _PackedVector:
+    """A Boolean function on ``arity`` inputs, held as its truth table
+    packed into one int, whichever constructor built it."""
+
+    __slots__ = ("arity", "_bits")
+    _accessor = _noun = _what = ""  # set by each subclass
+    # a constructor's packed coordinates to the table int, and back
+    _coords = staticmethod(lambda bits, arity: bits)
+
+    def _init(self, arity, entries, allow_big):
+        _check_arity(arity, allow_big)
+        entries = tuple(entries)
+        if len(entries) != 1 << arity:
+            raise ValueError(
+                f"expected {1 << arity} {self._noun} for arity {arity}, "
+                f"got {len(entries)}"
+            )
+        _check_bits(entries, self._what)
+        self.arity = arity
+        self._bits = self._coords(sum(v << m for m, v in enumerate(entries)), arity)
+
+    @classmethod
+    def _from_int(cls, arity, bits, allow_big):
+        _check_arity(arity, allow_big)
+        if not 0 <= bits < 1 << (1 << arity):
+            raise ValueError(f"packed value {bits} out of range for arity {arity}")
+        return cls._of(arity, cls._coords(bits, arity))
+
+    @classmethod
+    def _of(cls, arity, table):
+        # the function whose table int is `table`, unchecked
+        self = object.__new__(cls)
+        self.arity = arity
+        self._bits = table
+        return self
+
+    def _entries(self, bits):
+        return tuple([(bits >> m) & 1 for m in range(1 << self.arity)])
+
+    values = property(
+        lambda self: self._entries(self._bits),
+        doc="Tuple of 2**arity values; values[m] is the value at index m.",
     )
+    coeffs = property(
+        lambda self: self._entries(xor_transform(self._bits, self.arity)),
+        doc="Tuple of 2**arity ANF coefficients; coeffs[m] belongs to subset mask m.",
+    )
+
+    def to_int(self):
+        """Packed values of a table, coefficients of a vector; bit m holds entry m."""
+        return self._coords(self._bits, self.arity)
+
+    def __eq__(self, other):
+        if not isinstance(other, _PackedVector):
+            return NotImplemented
+        return self.arity == other.arity and self._bits == other._bits
+
+    def __hash__(self):
+        return hash((self.arity, self._bits))
+
+    def __repr__(self):
+        entries = list(getattr(self, self._accessor))
+        return f"{type(self).__name__}(arity={self.arity}, {self._accessor}={entries})"
+
+
+class TruthTable(_PackedVector):
+    """The function with value vector ``values``: values[m] is its value at
+    the point indexed by m.  ``allow_big`` permits arities above the soft
+    cap (``_check_arity``)."""
+
+    __slots__ = ()
+    _accessor, _noun, _what = "values", "values", "truth table values"
+
+    def __init__(self, arity, values, allow_big=False):
+        self._init(arity, values, allow_big)
+
+    @classmethod
+    def from_int(cls, arity, bits, allow_big=False):
+        """Build a table from its packed integer (bit m = value at index m)."""
+        return cls._from_int(arity, bits, allow_big)
+
+
+class CoeffVector(_PackedVector):
+    """The function with ANF coefficients ``coeffs``: coeffs[m] is the
+    coefficient of the monomial over the subset with characteristic bit
+    vector m (m = 0 is the constant term)."""
+
+    __slots__ = ()
+    _accessor, _noun, _what = "coeffs", "coefficients", "ANF coefficients"
+    _coords = staticmethod(xor_transform)
+
+    def __init__(self, arity, coeffs, allow_big=False):
+        self._init(arity, coeffs, allow_big)
+
+    @classmethod
+    def from_int(cls, arity, bits, allow_big=False):
+        """Build a vector from its packed integer (bit m = coeffs[m])."""
+        return cls._from_int(arity, bits, allow_big)
+
+
+def tt_to_anf(table):
+    """The function as a ``CoeffVector``: its algebraic normal form, the
+    unique c with table(x) the XOR of c_S over the subsets S of
+    support(x), at every point x."""
+    return CoeffVector._of(table.arity, table._bits)
 
 
 def anf_to_tt(coeffs):
-    """Evaluate an ANF at every point; inverse of :func:`tt_to_anf`."""
-    return TruthTable.from_int(
-        coeffs.arity, xor_transform(coeffs.to_int(), coeffs.arity), allow_big=True
-    )
+    """The function as a ``TruthTable``; inverse of :func:`tt_to_anf`."""
+    return TruthTable._of(coeffs.arity, coeffs._bits)
 
 
 def evaluate(table, point):
@@ -211,13 +208,13 @@ def evaluate(table, point):
             f"point has length {len(point)}, expected {table.arity}"
         )
     _check_bits(point, "point")
-    return (table.to_int() >> point_to_index(point)) & 1
+    return (table._bits >> point_to_index(point)) & 1
 
 
 def essential_vars(table):
     """Variables the function depends on, as 1-based ids: those whose flip
     changes the value at some point."""
-    bits = table.to_int()
+    bits = table._bits
     out = []
     for i, upper in enumerate(variable_masks(table.arity)):
         s = 1 << i
@@ -278,13 +275,11 @@ def _anf_text(bits, arity):
     return text[3:] or "0"
 
 
-def anf_string(coeffs):
-    """Render an ANF as '+'-joined monomials, e.g. ``1 + x1 + x1*x3``:
-    ordered by degree, then by variable ids, each in increasing order;
-    the zero polynomial renders as ``0``."""
-    k = coeffs.arity
-    # the transform is its own inverse: these are the ANF of this table
-    return _anf_text(xor_transform(coeffs.to_int(), k), k)
+def anf_string(f):
+    """Render the ANF of a function as '+'-joined monomials, e.g. ``1 + x1
+    + x1*x3``: ordered by degree, then by variable ids, each in increasing
+    order; the zero polynomial renders as ``0``."""
+    return _anf_text(f._bits, f.arity)
 
 
 def parse_anf(text, arity, allow_big=False):
@@ -298,15 +293,13 @@ def parse_anf(text, arity, allow_big=False):
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial string")
-    coeffs = [0] * (1 << arity)
+    coeffs = 0
     if text == "0":
-        return CoeffVector(arity, coeffs, allow_big)
+        return CoeffVector.from_int(arity, coeffs, allow_big)
     for term in text.split("+"):
         term = term.strip()
-        if term == "1":
-            mask = 0
-        else:
-            mask = 0
+        mask = 0
+        if term != "1":
             for factor in term.split("*"):
                 factor = factor.strip()
                 # x, then ASCII digits without a leading zero: int() alone
@@ -328,7 +321,7 @@ def parse_anf(text, arity, allow_big=False):
                 if mask & bit:
                     raise ValueError(f"repeated variable x{i} in {term!r}")
                 mask |= bit
-        if coeffs[mask]:
+        if (coeffs >> mask) & 1:
             raise ValueError(f"repeated monomial {term!r}")
-        coeffs[mask] = 1
-    return CoeffVector(arity, coeffs, allow_big)
+        coeffs |= 1 << mask
+    return CoeffVector.from_int(arity, coeffs, allow_big)

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from math import prod
 from pathlib import Path
 
-from .boolfun import _anf_text
+from .boolfun import anf_string
 from .dynamics import (
     BooleanNetwork,
     _check_sampling,
@@ -123,15 +123,12 @@ def _infer_payload(result, digests):
                 "ncf_count": len(rec.ncfs),
                 "ncfs": rec.ncfs.anf_lines(),
                 "near_misses": [
-                    {
-                        "anf": _anf_text(t.to_int(), t.arity),
-                        "depends_on": sorted(ess),
-                    }
+                    {"anf": anf_string(t), "depends_on": sorted(ess)}
                     for t, ess in rec.near_misses
                 ],
                 "forced_function": None
                 if rec.forced is None
-                else _anf_text(rec.forced.to_int(), rec.forced.arity),
+                else anf_string(rec.forced),
             }
         )
     without = [rec.name for rec in result.nodes if len(rec.ncfs) == 0]

@@ -133,7 +133,7 @@ def phase_space(network):
     from ._engine import _base_map
 
     n = _network_size(network.wiring)
-    singles = [(i, t.to_int()) for i, t in enumerate(network.tables)]
+    singles = [(i, t._bits) for i, t in enumerate(network.tables)]
     return _analyze(_base_map(n, network.wiring.regulators, singles), n)
 
 
@@ -246,11 +246,20 @@ def _check_sampling(samples, seed):
         raise ValueError("sample count must be positive")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    if 24 * samples > sys.maxsize:
+    if 24 * samples > min(sys.maxsize, _physical_memory()):
         raise CapacityError(
             f"{samples} samples exceed the 24-byte-per-sample statistics mapping",
             samples=samples,
         )
+
+
+def _physical_memory():
+    # bytes of physical memory, or sys.maxsize where sysconf cannot tell
+    try:
+        size, count = map(os.sysconf, ("SC_PAGE_SIZE", "SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return sys.maxsize
+    return size * count if size > 0 and count > 0 else sys.maxsize
 
 
 def _worker_count(n, chunks):
@@ -343,7 +352,9 @@ def sample_ensemble(result, samples, seed, mode):
     analysis peaks at 61 bytes per state under tracemalloc, 4.0 MB: each
     extra worker adds that and the pages it copies on write.  The
     statistics take 24 bytes per sample, in one mapping all processes
-    share, so a count above sys.maxsize / 24 raises ``CapacityError``.
+    share, so a count above 1/24 of physical memory (``os.sysconf``'s
+    page size times page count, where both exist) or of sys.maxsize
+    raises ``CapacityError`` before any work.
     """
     _check_sampling(samples, seed)
     covered = {rec.name for rec in result.nodes}

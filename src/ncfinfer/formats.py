@@ -7,8 +7,8 @@ import csv
 import io
 import json
 
-from .boolfun import anf_to_tt, parse_anf
-from .errors import ParseError, ToolError
+from .boolfun import SOFT_ARITY_CAP, anf_to_tt, parse_anf
+from .errors import ParseError
 from .infer import TimeCourse, WiringDiagram
 
 
@@ -53,10 +53,13 @@ def parse_wiring(text):
             if r not in index:
                 raise ParseError(f"node {n!r} names absent regulator {r!r}",
                                  field=n)
+        if len(lst) > SOFT_ARITY_CAP:
+            raise ParseError(f"node {n!r} has {len(lst)} regulators, more than "
+                             f"the cap of {SOFT_ARITY_CAP}", field=n)
         regulators.append([index[r] for r in lst])
     try:
         return WiringDiagram(nodes, regulators)
-    except (ValueError, ToolError) as e:
+    except ValueError as e:
         raise ParseError(f"invalid wiring: {e}") from e
 
 

@@ -8,8 +8,8 @@ sampled as assignments to the unobserved points.
 from operator import or_
 from typing import NamedTuple
 
-from .boolfun import TruthTable, _byte_rows, _check_arity, _check_bits
-from .boolfun import anf_to_tt, point_to_index, tt_to_anf
+from .boolfun import CoeffVector, TruthTable, _byte_rows, _check_arity
+from .boolfun import _check_bits, point_to_index
 from .errors import CapacityError, InconsistentDataError
 
 _MATERIALIZE_CAP = 20  # free bits; 2^20 tables is the most tables() will yield
@@ -93,10 +93,8 @@ def coset_element(data, g):
         raise ValueError(
             f"polynomial arity {g.arity} does not match data arity {data.arity}"
         )
-    g_bits = anf_to_tt(g).to_int()
-    p_bits = ideal_generator(data).to_int()
-    h_bits = data._value_bits ^ (g_bits & p_bits)
-    return tt_to_anf(TruthTable.from_int(data.arity, h_bits, allow_big=True))
+    h_bits = data._value_bits ^ (g._bits & ideal_generator(data)._bits)
+    return CoeffVector._of(data.arity, h_bits)
 
 
 def fits(table, data):
@@ -105,7 +103,7 @@ def fits(table, data):
         raise ValueError(
             f"table arity {table.arity} does not match data arity {data.arity}"
         )
-    return table.to_int() & data._seen_bits == data._value_bits
+    return table._bits & data._seen_bits == data._value_bits
 
 
 def model_space_size(data):

@@ -19,8 +19,8 @@ from .boolfun import (
     _check_arity,
     _check_bits,
     index_to_subset,
-    tt_to_anf,
     variable_masks,
+    xor_transform,
 )
 
 __all__ = [
@@ -183,19 +183,19 @@ def _criterion_constraints(order):
     return tuple(out)
 
 
-def is_ncf_wrt(coeffs, order):
-    """Coefficient criterion: is this ANF nested canalyzing in this order?
+def is_ncf_wrt(f, order):
+    """Coefficient criterion: is the function nested canalyzing in this order?
 
     True iff the full-set coefficient is 1 and each nonempty proper
     subset's coefficient is its completion's times the near-full
     coefficients of the variables completed over.
     """
-    k = coeffs.arity
+    k = f.arity
     order = tuple(order)
     _check_order(order, k)
     if k == 0:
         return False
-    c = coeffs.to_int()
+    c = xor_transform(f._bits, k)
     full = (1 << k) - 1
     if not (c >> full) & 1:
         return False
@@ -215,9 +215,8 @@ def is_ncf(table):
     criterion's full-set coefficient rejects inessential variables."""
     if table.arity == 0:
         return False
-    coeffs = tt_to_anf(table)
     return any(
-        is_ncf_wrt(coeffs, order)
+        is_ncf_wrt(table, order)
         for order in itertools.permutations(range(1, table.arity + 1))
     )
 
@@ -264,7 +263,7 @@ class NcfSet:
         return iter(self.members)
 
     def __contains__(self, table):
-        bits = table.to_int()
+        bits = table._bits
         i = bisect_left(self._ints, bits)
         return table.arity == self.arity and self._ints[i : i + 1] == (bits,)
 
@@ -291,7 +290,7 @@ class NcfSet:
         """The witness form generating the member ``table``."""
         if table not in self:
             raise KeyError(f"{table!r} is not a member")
-        return NcfForm(*self._forms[bisect_left(self._ints, table.to_int())])
+        return NcfForm(*self._forms[bisect_left(self._ints, table._bits)])
 
     def anf_lines(self):
         """Canonical ANF strings, one per member, in member order."""

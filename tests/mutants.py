@@ -48,6 +48,7 @@ DYN = "tests/test_dynamics.py"
 MODEL = "tests/test_modelspace.py"
 BOOL = "tests/test_boolfun.py"
 CLI = "tests/test_cli.py"
+VALUE = "tests/test_function_value.py"
 
 MUTANTS = (
     # NcfSet: aligned member and witness tuples
@@ -208,6 +209,12 @@ MUTANTS = (
         'e.object.count(b"\\n", 0, e.start)', 'data.count(b"\\n", 0, e.start)',
         (f"{CLI}::test_a_file_that_is_not_utf8_is_a_parse_error",),
     ),
+    # check reports every node whose two routes disagree
+    Mutant(
+        "check-mismatch-dropped", "cli.py",
+        "failures.append(name)", "pass",
+        (f"{CLI}::test_check_reports_a_mismatch",),
+    ),
     # the CLI's one error branch: the context keys, a KeyError unquoted
     Mutant(
         "error-context", "cli.py",
@@ -243,7 +250,7 @@ MUTANTS = (
     Mutant(
         "mask-shift", "boolfun.py",
         "<< (1 << j) for j in range(arity))", "<< j for j in range(arity))",
-        (f"{BOOL}::test_transform_involution_random_k5",),
+        (f"{BOOL}::test_variable_masks_match_their_definition",),
     ),
     Mutant(
         "transform-mask", "boolfun.py",
@@ -254,6 +261,17 @@ MUTANTS = (
         "essential-lane", "boolfun.py",
         "bits & (upper >> s)", "bits & (upper >> i)",
         (f"{BOOL}::test_essential_vars_empty_iff_constant",),
+    ),
+    # readers of the held table int, whichever constructor built it
+    Mutant(
+        "criterion-table-as-coeffs", "ncf.py",
+        "c = xor_transform(f._bits, k)", "c = f._bits",
+        (f"{VALUE}::test_both_constructors_give_one_value",),
+    ),
+    Mutant(
+        "membership-own-coordinates", "ncf.py",
+        "bits = table._bits", "bits = table.to_int()",
+        (f"{VALUE}::test_both_constructors_give_one_value",),
     ),
     # the coefficient criterion's constraints
     Mutant(

@@ -494,6 +494,25 @@ def test_an_empty_wiring_is_a_parse_error(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["infer", "check", "sample", "dynamics"])
+def test_an_in_degree_over_the_cap_is_a_parse_error(command, tmp_path, capsys):
+    # the error names the node, its regulator count and the cap, and no
+    # library keyword
+    names = list("abcdef")
+    wiring, course, rules = (tmp_path / f for f in ("w.json", "c.csv", "r.json"))
+    wiring.write_text(json.dumps(
+        {"nodes": names, "regulators": {"a": names, **{n: [] for n in "bcdef"}}}
+    ))
+    course.write_text("a,b,c,d,e,f\n0,0,0,0,0,0\n1,0,0,0,0,0\n")
+    rules.write_text(json.dumps({"rules": {n: "0" for n in names}}))
+    out = tmp_path / "out"
+    assert run(_argv(command, wiring, [course], rules, out)) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"type": "ParseError", "field": "a",
+                     "message": "node 'a' has 6 regulators, more than the cap of 5"}
+    assert not out.exists()
+
+
 UTF8_FILES = {
     "w.json": b'{"nodes": ["A"],\n "regulators": {"A": ["A"]}}\n',
     "c.csv": b"A\n0\n1\n",
@@ -580,26 +599,46 @@ def test_failure_contract_on_generated_inputs(command, tmp_path, capsys):
     assert min(outcomes.values()) >= 30, outcomes
 
 
+ONE_NODE = '{"nodes": ["A"], "regulators": {"A": ["A"]}}'
+
+
+def _parse_error(message, **context):
+    return {"type": "ParseError", "message": message, **context}
+
+
 @pytest.mark.parametrize(
-    "wiring, rules",
+    "wiring, rules, course, error",
     [
         ('{"nodes": ["A", "B"], "regulators": {"A": [["B"]], "B": []}}',
-         '{"rules": {"A": "x1", "B": "0"}}'),
-        ('{"nodes": ["A"], "regulators": {"A": ["A"]}}', '{"rules": {"A": 1}}'),
-        ('{"nodes": ["A"], "regulators": {"A": ["A"]}}', '{"rules": {"A": null}}'),
-        ('{"nodes": ["A"], "regulators": {"A": ["A"]}}', '{"rules": {"A": "x 1"}}'),
+         '{"rules": {"A": "x1", "B": "0"}}', None,
+         _parse_error("regulator ['B'] of 'A' must be a name", field="A")),
+        (ONE_NODE, '{"rules": {"A": 1}}', None,
+         _parse_error("rule for 'A' must be an ANF string", field="A")),
+        (ONE_NODE, '{"rules": {"A": null}}', None,
+         _parse_error("rule for 'A' must be an ANF string", field="A")),
+        (ONE_NODE, '{"rules": {"A": "x 1"}}', None,
+         _parse_error("rule for 'A': bad monomial factor 'x 1'", field="A")),
+        ('{"nodes": "A", "regulators": {"A": ["A"]}}', '{"rules": {"A": "x1"}}',
+         None, _parse_error('"nodes" must be a list of names', field="nodes")),
+        ('{"nodes": ["A"], "regulators": [["A"]]}', '{"rules": {"A": "x1"}}', None,
+         _parse_error('"regulators" must map node names to name lists',
+                      field="regulators")),
+        (ONE_NODE, '{"rules": {"A": "x1"}}', "A,A\n0,0\n1,1\n",
+         _parse_error("invalid time course: duplicate node names in time course")),
     ],
 )
-def test_malformed_input_is_a_parse_error(tmp_path, capsys, wiring, rules):
+def test_malformed_input_is_a_parse_error(tmp_path, capsys, wiring, rules, course,
+                                          error):
     (tmp_path / "w.json").write_text(wiring)
     (tmp_path / "r.json").write_text(rules)
     out = tmp_path / "out"
-    code = run(["dynamics", "--wiring", str(tmp_path / "w.json"),
-                "--rules", str(tmp_path / "r.json"), "--out", str(out)])
-    assert code == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"]["type"] == "ParseError"
-    assert err["error"]["field"] == "A"
+    argv = ["dynamics", "--wiring", str(tmp_path / "w.json"),
+            "--rules", str(tmp_path / "r.json"), "--out", str(out)]
+    if course is not None:
+        (tmp_path / "c.csv").write_text(course)
+        argv += ["--timecourse", str(tmp_path / "c.csv")]
+    assert run(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": error}
     assert not out.exists()
 
 
@@ -876,19 +915,47 @@ def test_sample_checks_its_arguments_before_inference(bad, message, capsys, monk
 
 def test_sample_refuses_a_huge_count_before_inference(tmp_path, capsys, monkeypatch):
     # 24 bytes per sample would overflow the statistics mapping's length
+    # (10^18), or fit in it but not in memory (10^17): either count is
+    # refused before inference and before the mapping
     calls = []
     monkeypatch.setattr(cli, "infer_all", lambda *args, **kwargs: calls.append(args))
     out = tmp_path / "out"
-    code = run(["sample", *YEAST_IO, "--mode", "ncf", "-m", str(10**18),
-                "--seed", "1", "--out", str(out)])
-    assert code == 1
+    for count in (10**18, 10**17):
+        code = run(["sample", *YEAST_IO, "--mode", "ncf", "-m", str(count),
+                    "--seed", "1", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"error": {
+            "type": "CapacityError", "samples": count, "message":
+            f"{count} samples exceed the 24-byte-per-sample statistics mapping",
+        }}
+        assert captured.out == ""
+        assert calls == []
+        assert not out.exists()
+    assert 24 * 10**17 <= sys.maxsize
+
+
+def test_check_reports_a_mismatch(capsys, monkeypatch):
+    # the two routes disagree on Sic1 alone: every node is still checked
+    monkeypatch.setattr(
+        cli, "cross_check", lambda wiring, courses, i: wiring.nodes[i] != "Sic1"
+    )
+    assert run(["check", *YEAST_IO]) == 1
     captured = capsys.readouterr()
-    err = json.loads(captured.err)["error"]
-    assert (err["type"], err["samples"]) == ("CapacityError", 10**18)
-    assert str(10**18) in err["message"]
-    assert captured.out == ""
-    assert calls == []
-    assert not out.exists()
+    nodes = parse_wiring(yeast_wiring_path().read_text()).nodes
+    assert captured.out == "".join(
+        f"{n}: {'MISMATCH' if n == 'Sic1' else 'ok'}\n" for n in nodes
+    )
+    assert captured.err == """{
+  "error": {
+    "message": "dual-route inference disagrees on nodes ['Sic1']",
+    "nodes": [
+      "Sic1"
+    ],
+    "type": "ToolError"
+  }
+}
+"""
 
 
 def test_cli_error_objects_byte_for_byte(tmp_path, capsys):

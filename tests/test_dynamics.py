@@ -457,7 +457,8 @@ def test_sample_ensemble_argument_validation(yeast_result):
 
 def test_sample_ensemble_refuses_a_count_beyond_its_mapping(yeast_result, monkeypatch):
     # the statistics take 24 bytes per sample in one mapping, whose length
-    # must fit in a C ssize_t: a larger count is refused before any work
+    # must fit in a C ssize_t and in physical memory: a larger count is
+    # refused before any work
     samplers = []
     monkeypatch.setattr(
         dynamics_module, "_node_sampler", lambda *args: samplers.append(args)
@@ -467,8 +468,27 @@ def test_sample_ensemble_refuses_a_count_beyond_its_mapping(yeast_result, monkey
         sample_ensemble(yeast_result, huge, 1, "ncf")
     assert caught.value.context == {"samples": huge}
     assert samplers == []
-    # the largest count whose mapping fits passes the check
-    dynamics_module._check_sampling(huge - 1, 1)
+    # the largest count whose mapping fits passes the check, which maps nothing
+    largest = min(sys.maxsize, dynamics_module._physical_memory()) // 24
+    dynamics_module._check_sampling(largest, 1)
+    with pytest.raises(CapacityError, match=str(largest + 1)):
+        dynamics_module._check_sampling(largest + 1, 1)
+
+
+def test_the_sample_count_is_bounded_by_physical_memory(monkeypatch):
+    # 3 pages of 4 KiB hold the statistics of 512 samples
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 3}
+    monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+    assert dynamics_module._physical_memory() == 12288
+    dynamics_module._check_sampling(512, 1)
+    with pytest.raises(CapacityError, match="513 samples") as caught:
+        dynamics_module._check_sampling(513, 1)
+    assert caught.value.context == {"samples": 513}
+    # where sysconf cannot tell, only sys.maxsize bounds the count
+    sizes["SC_PHYS_PAGES"] = -1
+    assert dynamics_module._physical_memory() == sys.maxsize
+    monkeypatch.delattr(os, "sysconf")
+    assert dynamics_module._physical_memory() == sys.maxsize
 
 
 def _cpus(count):
